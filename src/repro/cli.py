@@ -19,7 +19,7 @@ Each experiment prints its paper-shaped table and (with ``--save``) writes
 it under ``results/``.  ``simulate`` partitions a generated circuit, runs
 it through the hierarchical executor (part-level gate fusion on by
 default; disable with ``--no-fuse``; pick where sweeps run with
-``--backend serial|threaded|process|array`` and ``--threads``) and reports the
+``--backend serial|threaded|array`` and ``--threads``) and reports the
 compiled sweep counts, per-backend wall time and a cross-check against
 the flat simulator.  ``batch`` feeds a JSON job manifest through the
 :mod:`repro.serve` runtime (shared partition/plan caches across
@@ -60,6 +60,7 @@ from .experiments import (
     thread_scaling,
 )
 from .experiments.common import RESULTS_DIR
+from .sv.backend import BACKEND_NAMES
 
 EXPERIMENTS: Dict[str, Callable] = {
     "table1": table1.run,
@@ -475,6 +476,17 @@ def _working_set_limit(text: str) -> int:
     return value
 
 
+def _positive_threads(text: str) -> int:
+    """argparse type for ``--threads``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"threads must be >= 1 (got {value}); omit the flag for "
+            f"REPRO_THREADS or the core count"
+        )
+    return value
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # ``repro bench`` owns its own argparse tree (list/run/compare);
@@ -534,11 +546,11 @@ def main(argv=None) -> int:
                        help="arity cap for fused dense unitaries "
                             "(default: 5)")
     p_sim.add_argument("--backend", default=None,
-                       choices=["serial", "threaded", "process", "array"],
+                       choices=BACKEND_NAMES,
                        help="execution backend (default: REPRO_BACKEND, "
                             "else serial; see docs/configuration.md)")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker count for threaded/process backends "
+    p_sim.add_argument("--threads", type=_positive_threads, default=None,
+                       help="thread count for the threaded backend, >= 1 "
                             "(default: REPRO_THREADS, else core count)")
     p_sim.add_argument("--pad-to", type=int, default=0,
                        help="pad part working sets to this many qubits "
@@ -602,10 +614,10 @@ def main(argv=None) -> int:
                        help="arity cap for fused dense unitaries "
                             "(default: 5)")
     p_cut.add_argument("--backend", default=None,
-                       choices=["serial", "threaded", "process", "array"],
+                       choices=BACKEND_NAMES,
                        help="execution backend (default: REPRO_BACKEND, "
                             "else serial)")
-    p_cut.add_argument("--threads", type=int, default=None,
+    p_cut.add_argument("--threads", type=_positive_threads, default=None,
                        help="backend worker count (default: REPRO_THREADS)")
     p_cut.add_argument("--method", default=None,
                        choices=["auto", "dense", "stabilizer"],
@@ -639,10 +651,10 @@ def main(argv=None) -> int:
     p_batch.add_argument("--workers", type=int, default=None,
                          help="concurrent jobs (default: 1)")
     p_batch.add_argument("--backend", default=None,
-                         choices=["serial", "threaded", "process", "array"],
+                         choices=BACKEND_NAMES,
                          help="execution backend (default: REPRO_BACKEND, "
                               "else serial)")
-    p_batch.add_argument("--threads", type=int, default=None,
+    p_batch.add_argument("--threads", type=_positive_threads, default=None,
                          help="backend worker count (default: REPRO_THREADS)")
     p_batch.add_argument("--method", default=None,
                          choices=["auto", "dense", "stabilizer"],
@@ -692,10 +704,10 @@ def main(argv=None) -> int:
                          help="working-set limit, >= 1 (default: "
                               "qubits - 3 per circuit)")
     p_serve.add_argument("--backend", default=None,
-                         choices=["serial", "threaded", "process", "array"],
+                         choices=BACKEND_NAMES,
                          help="execution backend (default: REPRO_BACKEND, "
                               "else serial)")
-    p_serve.add_argument("--threads", type=int, default=None,
+    p_serve.add_argument("--threads", type=_positive_threads, default=None,
                          help="backend worker count (default: "
                               "REPRO_THREADS)")
     p_serve.add_argument("--method", default=None,

@@ -1,18 +1,16 @@
 """Pluggable execution backends: where kernel sweeps actually run.
 
 The hierarchical executor reduces every part to the same shape of work:
-apply a compiled op sequence to the rows of the ``(2^(n-w), 2^w)``
-gather matrix (``mode="batched"``), or to one gathered inner vector at a
-time (``mode="literal"``).  Rows are independent — a gate only mixes
-amplitudes *within* a row — so row blocks can execute concurrently with
-no synchronisation beyond the part boundary.  This module turns that
-observation into an :class:`ExecutionBackend` seam with three
-implementations:
+gather the part's inner vectors, apply its compiled ops, scatter them
+back.  Rows of the ``(2^(n-w), 2^w)`` gather matrix are independent — a
+gate only mixes amplitudes *within* a row — so that work is written
+once, as a sweep over a row range ``[lo, hi)`` (:func:`_part_sweep`),
+and the host backends differ only in how they cover the rows:
 
-* :class:`SerialBackend` — the single-threaded baseline (exact previous
-  behaviour of the executor and engines).
-* :class:`ThreadedBackend` — splits the row range into ``threads``
-  deterministic contiguous blocks and runs them on a shared
+* :class:`SerialBackend` — one sweep over all rows; the reference all
+  others must match.
+* :class:`ThreadedBackend` — maps the same sweep over deterministic
+  contiguous row blocks (:func:`split_blocks`) on a shared
   ``ThreadPoolExecutor``.  The heavy work per block is a GEMM
   (``numpy`` matmul) which releases the GIL into BLAS, so this yields
   real shared-memory parallelism without processes.  Block boundaries
@@ -21,13 +19,6 @@ implementations:
   on every run at a given thread count (BLAS GEMM results can shift by
   an ulp when the per-block column count changes, so agreement with
   serial is exact in structure but pinned only to 1e-10 in general).
-* :class:`ProcessBackend` — same row-block decomposition, but blocks run
-  in worker processes against the state held in
-  ``multiprocessing.shared_memory``; for circuits whose per-block GEMMs
-  are too small to amortise GIL-free BLAS sections.  Workers rebuild
-  their block of the gather table locally from ``(n, qubits, lo, hi)``
-  (:func:`~repro.sv.layout.gather_index_rows`), so only the compiled
-  ops cross the process boundary.
 * :class:`ArrayBackend` — the same sweeps expressed through a pluggable
   array namespace (:func:`resolve_array_module`: NumPy always, CuPy or
   PyTorch when importable — ``REPRO_ARRAY_MODULE``).  With a device
@@ -59,13 +50,11 @@ toy problems.
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
-import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,17 +65,14 @@ from .kernels import (
     apply_gate,
     apply_matrix,
     apply_matrix_batched,
-    apply_matrix_strided,
     split_controls,
     strided_max_qubits,
 )
-from .layout import gather_index_rows
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadedBackend",
-    "ProcessBackend",
     "ArrayBackend",
     "ArrayModule",
     "BACKEND_NAMES",
@@ -100,10 +86,9 @@ __all__ = [
     "DEFAULT_BLOCK_ELEMENTS",
 ]
 
-#: Below this many gathered elements a parallel backend runs serially —
-#: dispatch overhead beats any speedup on toy states.  Override per
-#: instance (``min_parallel_elements=``) or globally via
-#: ``REPRO_MIN_PARALLEL``.
+#: Below this many amplitudes the threaded backend runs a part's sweep
+#: inline — dispatch overhead beats any speedup on toy states.
+#: Override per instance (``min_parallel_elements=``).
 DEFAULT_MIN_PARALLEL_ELEMENTS = 1 << 14
 
 #: Target amplitudes per threaded block (8 MB of complex128).  The
@@ -113,15 +98,33 @@ DEFAULT_MIN_PARALLEL_ELEMENTS = 1 << 14
 #: which is why threaded execution beats serial even on one core.
 DEFAULT_BLOCK_ELEMENTS = 1 << 19
 
-
-def _default_min_parallel() -> int:
-    return int(
-        os.environ.get("REPRO_MIN_PARALLEL", DEFAULT_MIN_PARALLEL_ELEMENTS)
-    )
+#: A row-range sweep: ``sweep(lo, hi)`` runs a part over rows ``[lo, hi)``.
+RowSweep = Callable[[int, int], None]
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
+def _resolve_threads(threads: Optional[int]) -> int:
+    """Thread count: ``None`` means the core count, anything else must
+    be an integer ``>= 1`` (0 is rejected, never read as "default").
+
+    >>> _resolve_threads(3)
+    3
+    >>> _resolve_threads(0)
+    Traceback (most recent call last):
+        ...
+    ValueError: threads must be an integer >= 1 (None = core count), got 0
+    """
+    if threads is None:
+        return os.cpu_count() or 1
+    if (
+        isinstance(threads, bool)
+        or not isinstance(threads, (int, np.integer))
+        or threads < 1
+    ):
+        raise ValueError(
+            "threads must be an integer >= 1 (None = core count), "
+            f"got {threads!r}"
+        )
+    return int(threads)
 
 
 def split_blocks(total: int, parts: int) -> List[Tuple[int, int]]:
@@ -161,11 +164,11 @@ class ExecutionBackend:
     * :meth:`apply_gate_flat` — one gate on a flat ``2^n`` state (the
       flat simulator).
 
-    Backends may hold resources (pools, shared memory); ``close()``
-    releases them and instances are usable as context managers.
-    ``begin_run``/``end_run`` bracket a multi-part execution so backends
-    that stage the state elsewhere (shared memory) pay the round trip
-    once per run instead of once per part.
+    Backends may hold resources (thread pools, device caches);
+    ``close()`` releases them and instances are usable as context
+    managers.  ``begin_run``/``end_run`` bracket a multi-part execution
+    so backends that stage the state elsewhere (a device) pay the round
+    trip once per run instead of once per part.
 
     >>> resolve_backend("serial").describe()
     'serial'
@@ -184,7 +187,7 @@ class ExecutionBackend:
         """Called by the executor after the last part of a run."""
 
     def close(self) -> None:
-        """Release pools/segments; the backend may be used again after."""
+        """Release pools/caches; the backend may be used again after."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -246,16 +249,68 @@ def _strided_eligible(plan, strided_max: int) -> bool:
     return True
 
 
-def _run_part_strided(plan, state: np.ndarray, num_qubits: int) -> None:
-    """Apply a part's ops directly to the flat state — no gather matrix.
+def _part_sweep(
+    plan, state: np.ndarray, num_qubits: int, mode: str, strided_max: int
+) -> Tuple[str, int, RowSweep]:
+    """One part as a row-range sweep: ``(path, rows, sweep)``.
 
-    Ops carry *global* qubit labels, so each one lands on the full state
-    through bit-strided views; bit-identical to the gathered sweep."""
-    for op in plan.ops:
-        apply_matrix_strided(
-            state, op.matrix(), op.qubits, num_qubits,
-            diagonal=op.is_diagonal,
-        )
+    ``sweep(lo, hi)`` applies the part's ops to rows ``[lo, hi)`` and
+    writes them back.  Rows are independent, so covering ``range(rows)``
+    with disjoint blocks — in any order, on any thread — runs the whole
+    part; ``path`` names the kernel lane.
+
+    * **strided** (``mode="batched"``, every op within ``strided_max``
+      targets): ops carry *global* qubit labels, all below
+      ``local = max qubit + 1``, so the flat state is a ``(rows,
+      2^local)`` view and each op lands in place on a leading-row block
+      through bit-strided views — no index table, no gathered copy.
+    * **gather**: rows of the part's gather table.  ``batched`` gathers
+      a whole row block as one matrix; ``literal`` gathers one inner
+      vector at a time (the paper's loop).
+    """
+    if mode == "batched" and _strided_eligible(plan, strided_max):
+        ops = plan.ops
+        if not ops:
+            return "strided", 0, lambda lo, hi: None
+        local = max(q for op in ops for q in op.qubits) + 1
+        view = state.reshape(-1, 1 << local)
+
+        def sweep(lo: int, hi: int) -> None:
+            sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
+            for op in ops:
+                _apply_strided(
+                    sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
+                )
+
+        return "strided", view.shape[0], sweep
+
+    w = len(plan.qubits)
+    ops = plan.local_ops()
+    table = plan.gather_table(num_qubits)
+    if mode == "batched":
+
+        def sweep(lo: int, hi: int) -> None:
+            rows = table[lo:hi]
+            inner = state[rows]  # (hi - lo, 2^w) copy
+            for op in ops:
+                apply_matrix_batched(
+                    inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
+                )
+            state[rows] = inner
+
+    else:
+
+        def sweep(lo: int, hi: int) -> None:
+            for t in range(lo, hi):
+                in_sv = state[table[t]]  # fancy indexing: a copy
+                for op in ops:
+                    apply_matrix(
+                        in_sv, op.matrix(), op.qubits, w,
+                        diagonal=op.is_diagonal,
+                    )
+                state[table[t]] = in_sv
+
+    return "gather", table.shape[0], sweep
 
 
 def _run_part_serial(
@@ -265,32 +320,13 @@ def _run_part_serial(
     mode: str,
     strided_max: Optional[int] = None,
 ) -> str:
-    """The baseline part loop (shared by all backends as the
-    small-workload fallback); returns the kernel path that ran."""
+    """The serial part loop — one sweep over every row; returns the
+    kernel path that ran."""
     if strided_max is None:
         strided_max = strided_max_qubits()
-    if mode == "batched" and _strided_eligible(plan, strided_max):
-        _run_part_strided(plan, state, num_qubits)
-        return "strided"
-    w = len(plan.qubits)
-    ops = plan.local_ops()
-    table = plan.gather_table(num_qubits)
-    if mode == "batched":
-        inner = state[table]  # (2^(n-w), 2^w) copy
-        for op in ops:
-            apply_matrix_batched(
-                inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
-            )
-        state[table] = inner
-    else:
-        for t in range(table.shape[0]):
-            in_sv = state[table[t]].copy()
-            for op in ops:
-                apply_matrix(
-                    in_sv, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
-                )
-            state[table[t]] = in_sv
-    return "gather"
+    path, rows, sweep = _part_sweep(plan, state, num_qubits, mode, strided_max)
+    sweep(0, rows)
+    return path
 
 
 class SerialBackend(ExecutionBackend):
@@ -332,7 +368,8 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadedBackend(ExecutionBackend):
-    """Row-block parallelism on a thread pool.
+    """Row-block parallelism on a thread pool: the serial sweep, mapped
+    over :func:`split_blocks`.
 
     >>> import numpy as np
     >>> rows = np.eye(4, dtype=np.complex128)
@@ -346,11 +383,11 @@ class ThreadedBackend(ExecutionBackend):
     Parameters
     ----------
     threads:
-        Worker count (default: ``os.cpu_count()``).
+        Worker count, an integer ``>= 1`` (``None``: ``os.cpu_count()``).
     min_parallel_elements:
-        Workloads touching fewer amplitudes than this run on the serial
-        path (default ``REPRO_MIN_PARALLEL`` or 16384).  Set 0 to force
-        parallel dispatch (the differential tests do).
+        Workloads touching fewer amplitudes than this run inline as one
+        block (default 16384).  Set 0 to force parallel dispatch (the
+        differential tests do).
     block_elements:
         Target amplitudes per block; work splits into
         ``max(threads, total/block_elements)`` blocks (clipped to the
@@ -366,18 +403,12 @@ class ThreadedBackend(ExecutionBackend):
         self,
         threads: Optional[int] = None,
         *,
-        min_parallel_elements: Optional[int] = None,
+        min_parallel_elements: int = DEFAULT_MIN_PARALLEL_ELEMENTS,
         block_elements: int = DEFAULT_BLOCK_ELEMENTS,
         strided_max: Optional[int] = None,
     ) -> None:
-        self.threads = int(threads) if threads else _default_workers()
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        self.min_parallel_elements = (
-            _default_min_parallel()
-            if min_parallel_elements is None
-            else int(min_parallel_elements)
-        )
+        self.threads = _resolve_threads(threads)
+        self.min_parallel_elements = int(min_parallel_elements)
         self.block_elements = int(block_elements)
         if self.block_elements < 1:
             raise ValueError("block_elements must be >= 1")
@@ -409,7 +440,7 @@ class ThreadedBackend(ExecutionBackend):
                 self._pool.shutdown(wait=True)
                 self._pool = None
 
-    def _map_blocks(self, fn, blocks) -> None:
+    def _map_blocks(self, fn: RowSweep, blocks) -> None:
         """Run ``fn(lo, hi)`` per block; reuse the caller thread for the
         last block so a 1-block dispatch never pays pool latency.
 
@@ -437,93 +468,34 @@ class ThreadedBackend(ExecutionBackend):
         if error is not None:
             raise error
 
+    def _map_rows(self, fn: RowSweep, rows: int, elements: int) -> None:
+        """Cover ``range(rows)`` with ``fn``: one inline call for small
+        workloads, else deterministic blocks across the pool."""
+        if rows < 2 or elements < self.min_parallel_elements:
+            fn(0, rows)
+            return
+        self._map_blocks(
+            fn, split_blocks(rows, self._num_blocks(rows, elements))
+        )
+
     # -- work --------------------------------------------------------------
 
-    def _run_plan_strided(self, plan, state, num_qubits):
-        """Parallel gather-free sweep: ops touch only qubits below some
-        axis, so the flat state splits into independent leading row
-        blocks — same block math as the gather path, no table."""
-        if not plan.ops:
-            return "strided"  # nothing to apply, nothing to gather
-        q_top = max(q for op in plan.ops for q in op.qubits)
-        local = q_top + 1
-        rows = 1 << (num_qubits - local)
-        if rows < 2 or state.size < self.min_parallel_elements:
-            _run_part_strided(plan, state, num_qubits)
-            return "strided"
-        view = state.reshape(rows, 1 << local)
-
-        def block(lo: int, hi: int) -> None:
-            sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
-            for op in plan.ops:
-                _apply_strided(
-                    sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
-                )
-
-        self._map_blocks(
-            block, split_blocks(rows, self._num_blocks(rows, state.size))
-        )
-        return "strided"
-
     def run_plan(self, plan, state, num_qubits, mode="batched"):
-        if mode == "batched" and _strided_eligible(plan, self.strided_max):
-            return self._run_plan_strided(plan, state, num_qubits)
-        table = plan.gather_table(num_qubits)
-        rows = table.shape[0]
-        if rows < 2 or table.size < self.min_parallel_elements:
-            return _run_part_serial(
-                plan, state, num_qubits, mode, self.strided_max
-            )
-        w = len(plan.qubits)
-        ops = plan.local_ops()
-
-        if mode == "batched":
-
-            def block(lo: int, hi: int) -> None:
-                sub = table[lo:hi]
-                inner = state[sub]
-                for op in ops:
-                    apply_matrix_batched(
-                        inner, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[sub] = inner
-
-        else:
-
-            def block(lo: int, hi: int) -> None:
-                for t in range(lo, hi):
-                    in_sv = state[table[t]].copy()
-                    for op in ops:
-                        apply_matrix(
-                            in_sv, op.matrix(), op.qubits, w,
-                            diagonal=op.is_diagonal,
-                        )
-                    state[table[t]] = in_sv
-
-        self._map_blocks(
-            block, split_blocks(rows, self._num_blocks(rows, table.size))
+        path, rows, sweep = _part_sweep(
+            plan, state, num_qubits, mode, self.strided_max
         )
-        return "gather"
+        self._map_rows(sweep, rows, state.size)
+        return path
 
     def apply_matrix_rows(
         self, rows, matrix, positions, num_local, *, diagonal=False
     ):
-        batch = rows.shape[0]
-        if batch < 2 or rows.size < self.min_parallel_elements:
-            apply_matrix_batched(
-                rows, matrix, positions, num_local, diagonal=diagonal
-            )
-            return
-
         def block(lo: int, hi: int) -> None:
             apply_matrix_batched(
                 rows[lo:hi], matrix, positions, num_local, diagonal=diagonal
             )
 
-        self._map_blocks(
-            block, split_blocks(batch, self._num_blocks(batch, rows.size))
-        )
+        self._map_rows(block, rows.shape[0], rows.size)
 
     def apply_gate_flat(self, state, gate, num_qubits):
         # A gate on qubits < w leaves the leading 2^(n-w) blocks of the
@@ -537,261 +509,6 @@ class ThreadedBackend(ExecutionBackend):
         self.apply_matrix_rows(
             view, gate.matrix(), gate.qubits, w, diagonal=gate.is_diagonal
         )
-
-
-def _process_run_block(
-    shm_name: str,
-    num_qubits: int,
-    qubits: Tuple[int, ...],
-    ops,
-    lo: int,
-    hi: int,
-    mode: str,
-) -> None:
-    """Worker-side body: attach the shared state, rebuild this block's
-    gather rows, sweep the ops, scatter back.  Module-level so it pickles
-    under both fork and spawn start methods."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        state = np.ndarray(
-            (1 << num_qubits,), dtype=np.complex128, buffer=shm.buf
-        )
-        table = gather_index_rows(num_qubits, qubits, lo, hi)
-        w = len(qubits)
-        if mode == "batched":
-            inner = state[table]
-            for op in ops:
-                apply_matrix_batched(
-                    inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
-                )
-            state[table] = inner
-        else:
-            for t in range(table.shape[0]):
-                in_sv = state[table[t]].copy()
-                for op in ops:
-                    apply_matrix(
-                        in_sv, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[table[t]] = in_sv
-    finally:
-        shm.close()
-
-
-# Shared-memory segments must be unlinked before the interpreter exits
-# or resource_tracker reports them leaked (and they survive in /dev/shm
-# until the tracker reaps them).  A run that dies between begin_run and
-# end_run — KeyboardInterrupt, sys.exit inside a worker callback — would
-# otherwise leave its segment behind, so every live ProcessBackend is
-# swept at interpreter shutdown.  WeakSet: the sweep must not keep
-# otherwise-dead backends alive.
-_LIVE_PROCESS_BACKENDS: "weakref.WeakSet[ProcessBackend]" = weakref.WeakSet()
-
-
-@atexit.register
-def _cleanup_process_backends() -> None:
-    for backend in list(_LIVE_PROCESS_BACKENDS):
-        backend._release_sessions()
-
-
-class ProcessBackend(ExecutionBackend):
-    """Row-block parallelism across worker processes over shared memory.
-
-    The full state lives in a ``multiprocessing.shared_memory`` segment
-    for the duration of a run (``begin_run``/``end_run``), so the
-    per-part cost is only op pickling and block-table rebuilding, not
-    state movement.  Falls back to in-process serial execution for
-    workloads under ``min_parallel_elements``.
-
-    Use when per-block GEMMs are too small for :class:`ThreadedBackend`
-    to win against the GIL-holding portions of the sweep; threads are
-    otherwise strictly cheaper.
-
-    >>> backend = ProcessBackend(2)     # small workloads fall back inline,
-    >>> backend.num_active_sessions     # so this spawns no processes
-    0
-    >>> backend.describe()
-    'process[2]'
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        *,
-        min_parallel_elements: Optional[int] = None,
-    ) -> None:
-        self.processes = int(processes) if processes else _default_workers()
-        if self.processes < 1:
-            raise ValueError("processes must be >= 1")
-        self.min_parallel_elements = (
-            _default_min_parallel()
-            if min_parallel_elements is None
-            else int(min_parallel_elements)
-        )
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        # Active shared-memory sessions keyed by id(state): backends are
-        # shared process-wide (resolve_backend singletons), so concurrent
-        # runs on *different* states must not trample each other's
-        # segments.  Guarded by _session_lock; a second begin_run on the
-        # same live state is refused.
-        self._sessions: Dict[int, tuple] = {}
-        self._session_lock = threading.Lock()
-        _LIVE_PROCESS_BACKENDS.add(self)
-
-    def describe(self) -> str:
-        return f"process[{self.processes}]"
-
-    @property
-    def num_active_sessions(self) -> int:
-        with self._session_lock:
-            return len(self._sessions)
-
-    def _get_pool(self) -> ProcessPoolExecutor:
-        import multiprocessing
-
-        with self._pool_lock:
-            if self._pool is None:
-                # Always spawn: fork in a process that already runs
-                # threads (thread pools, BLAS) can hand workers
-                # permanently-held locks and deadlock them.  The pool
-                # persists across parts/runs, so the spawn cost is paid
-                # once per backend instance.
-                ctx = multiprocessing.get_context("spawn")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.processes, mp_context=ctx
-                )
-            return self._pool
-
-    def close(self) -> None:
-        self._release_sessions()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    # -- shared-memory session --------------------------------------------
-
-    def _release_sessions(self) -> None:
-        """Unlink every live shared-memory segment (results abandoned).
-
-        The recovery path for runs that never reached ``end_run`` —
-        called from :meth:`close` and from the interpreter-shutdown
-        sweep.  Segments are destroyed without copying back: by the time
-        this runs, the run that owned them is dead.
-        """
-        with self._session_lock:
-            entries = list(self._sessions.values())
-            self._sessions.clear()
-        for entry in entries:
-            if not entry:
-                continue
-            shm, view = entry
-            del view  # release the buffer before closing the segment
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already reaped
-                pass
-
-    def _session_for(self, state: np.ndarray) -> Optional[tuple]:
-        with self._session_lock:
-            return self._sessions.get(id(state))
-
-    def begin_run(self, state: np.ndarray) -> None:
-        from multiprocessing import shared_memory
-
-        key = id(state)
-        with self._session_lock:
-            if key in self._sessions:
-                raise RuntimeError(
-                    "a run on this state is already in progress"
-                )
-            # Reserve the slot under the lock; fill it after the copy so
-            # a concurrent begin_run on the same state is refused early.
-            self._sessions[key] = ()
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=state.nbytes)
-            view = np.ndarray(
-                state.shape, dtype=np.complex128, buffer=shm.buf
-            )
-            view[:] = state
-        except BaseException:
-            with self._session_lock:
-                self._sessions.pop(key, None)
-            raise
-        with self._session_lock:
-            self._sessions[key] = (shm, view)
-
-    def end_run(self, state: np.ndarray) -> None:
-        with self._session_lock:
-            entry = self._sessions.pop(id(state), None)
-        if not entry:
-            return
-        shm, view = entry
-        try:
-            state[:] = view
-        finally:
-            del view  # release the buffer before closing the segment
-            shm.close()
-            shm.unlink()
-
-    # -- work --------------------------------------------------------------
-
-    def run_plan(self, plan, state, num_qubits, mode="batched"):
-        w = len(plan.qubits)
-        rows = 1 << (num_qubits - w)
-        session = self._session_for(state)
-        if rows < 2 or (rows << w) < self.min_parallel_elements:
-            target = session[1] if session else state
-            return _run_part_serial(plan, target, num_qubits, mode)
-        owned = not session
-        if owned:
-            self.begin_run(state)
-            session = self._session_for(state)
-        try:
-            shm = session[0]
-            ops = plan.local_ops()
-            pool = self._get_pool()
-            futures = [
-                pool.submit(
-                    _process_run_block,
-                    shm.name, num_qubits, plan.qubits, ops, lo, hi, mode,
-                )
-                for lo, hi in split_blocks(rows, self.processes)
-            ]
-            # Drain every block before returning or raising: a worker
-            # may still be writing into the segment otherwise.
-            error: Optional[BaseException] = None
-            for f in futures:
-                try:
-                    f.result()
-                except BaseException as exc:
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
-        finally:
-            if owned:
-                self.end_run(state)
-        return "gather"
-
-    # Per-gate work does not amortise the process round trip; run those
-    # call sites serially (the hierarchical part path is where this
-    # backend earns its keep).
-    def apply_matrix_rows(
-        self, rows, matrix, positions, num_local, *, diagonal=False
-    ):
-        apply_matrix_batched(
-            rows, matrix, positions, num_local, diagonal=diagonal
-        )
-
-    def apply_gate_flat(self, state, gate, num_qubits):
-        apply_gate(state, gate, num_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -925,12 +642,10 @@ class ArrayBackend(ExecutionBackend):
 
     def __init__(
         self,
-        threads: Optional[int] = None,
         *,
         module: Union[None, str, ArrayModule] = None,
         strided_max: Optional[int] = None,
     ) -> None:
-        del threads  # accepted for uniform construction; no pool here
         self.module = resolve_array_module(module)
         self.array_module = self.module.name
         self.strided_max = (
@@ -999,30 +714,14 @@ class ArrayBackend(ExecutionBackend):
                 self.plan_cache_hits += 1
                 self._plans.move_to_end(key)
                 return entry
-        mod = self.module
         w = len(plan.qubits)
-        ops = []
-        for op in plan.local_ops():
-            k = len(op.qubits)
-            axes = _gate_axes(w + 1, w, op.qubits, lead=1)
-            if op.is_diagonal:
-                # Pre-shape the diagonal factor for broadcast over the
-                # (batch,) + (2,)*w view; uploaded once, reused per sweep.
-                fac = np.ascontiguousarray(np.diag(op.matrix()))
-                fac = fac.reshape((2,) * k)
-                fac = fac.transpose(tuple(np.argsort(axes)))
-                shape = [1] * (w + 1)
-                for ax in axes:
-                    shape[ax] = 2
-                ops.append(
-                    (mod.from_host(fac.reshape(shape)), axes, True)
-                )
-            else:
-                ops.append((mod.from_host(op.matrix()), axes, False))
         entry = {
             "plan": plan,
-            "table": mod.from_host(plan.gather_table(num_qubits)),
-            "ops": ops,
+            "table": self.module.from_host(plan.gather_table(num_qubits)),
+            "ops": [
+                self._device_op(op.matrix(), op.qubits, w, op.is_diagonal)
+                for op in plan.local_ops()
+            ],
             "w": w,
         }
         with self._plans_lock:
@@ -1031,6 +730,21 @@ class ArrayBackend(ExecutionBackend):
             while len(self._plans) > self.MAX_CACHED_PLANS:
                 self._plans.popitem(last=False)
         return entry
+
+    def _device_op(self, matrix, qubits, w: int, diagonal: bool) -> tuple:
+        """Upload one op in the :meth:`_sweep_rows` format:
+        ``(device operand, view axes, diagonal)`` over the
+        ``(batch,) + (2,)*w`` row view.  A diagonal op uploads its
+        factor pre-shaped for a broadcast multiply."""
+        axes = _gate_axes(w + 1, w, qubits, lead=1)
+        if not diagonal:
+            return (self.module.from_host(matrix), axes, False)
+        fac = np.ascontiguousarray(np.diag(matrix)).reshape((2,) * len(axes))
+        fac = fac.transpose(tuple(np.argsort(axes)))
+        shape = [1] * (w + 1)
+        for ax in axes:
+            shape[ax] = 2
+        return (self.module.from_host(fac.reshape(shape)), axes, True)
 
     # -- work --------------------------------------------------------------
 
@@ -1094,27 +808,12 @@ class ArrayBackend(ExecutionBackend):
             )
             return
         dev = self.module.from_host(rows)
-        axes = _gate_axes(num_local + 1, num_local, positions, lead=1)
         entry = {
             "plan": None,
             "w": num_local,
-            "ops": [
-                self._device_op(matrix, axes, num_local, diagonal)
-            ],
+            "ops": [self._device_op(matrix, positions, num_local, diagonal)],
         }
         rows[...] = self.module.to_host(self._sweep_rows(dev, entry))
-
-    def _device_op(self, matrix, axes, w, diagonal):
-        """One-off device op tuple in the :meth:`_sweep_rows` format."""
-        if diagonal:
-            k = len(axes)
-            fac = np.ascontiguousarray(np.diag(matrix)).reshape((2,) * k)
-            fac = fac.transpose(tuple(np.argsort(axes)))
-            shape = [1] * (w + 1)
-            for ax in axes:
-                shape[ax] = 2
-            return (self.module.from_host(fac.reshape(shape)), axes, True)
-        return (self.module.from_host(matrix), axes, False)
 
     def apply_gate_flat(self, state, gate, num_qubits):
         if self.module.host:
@@ -1131,12 +830,11 @@ class ArrayBackend(ExecutionBackend):
 # Selection / sharing
 # ---------------------------------------------------------------------------
 
-BACKEND_NAMES = ("serial", "threaded", "process", "array")
+BACKEND_NAMES = ("serial", "threaded", "array")
 
 _BACKEND_CLASSES = {
     "serial": SerialBackend,
     "threaded": ThreadedBackend,
-    "process": ProcessBackend,
     "array": ArrayBackend,
 }
 
@@ -1149,6 +847,9 @@ def get_backend(
 ) -> ExecutionBackend:
     """Construct a fresh backend by name (caller owns/closes it).
 
+    ``threads`` configures ``threaded`` only; the other backends have
+    no pool and ignore it.
+
     >>> get_backend("serial").name
     'serial'
     >>> get_backend("threaded", threads=2).threads
@@ -1158,9 +859,9 @@ def get_backend(
         raise KeyError(
             f"unknown backend {name!r}; choose from {BACKEND_NAMES}"
         )
-    if name == "serial":
-        return SerialBackend(**kwargs)
-    return _BACKEND_CLASSES[name](threads, **kwargs)
+    if name == "threaded":
+        return ThreadedBackend(threads, **kwargs)
+    return _BACKEND_CLASSES[name](**kwargs)
 
 
 def shared_backend(
@@ -1170,12 +871,16 @@ def shared_backend(
 
     Executors resolved from names/environment share pools through here,
     so a test suite running under ``REPRO_BACKEND=threaded`` spins up
-    one thread pool, not one per executor.  Shared instances are never
-    closed by their users; they live for the process.
+    one thread pool, not one per executor.  The thread count is resolved
+    (``None`` = core count) before keying, so the default and its
+    explicit value share one pool; backends without a pool share one
+    instance regardless.  Shared instances are never closed by their
+    users; they live for the process.
 
     >>> shared_backend("serial") is shared_backend("serial")
     True
     """
+    threads = _resolve_threads(threads) if name == "threaded" else None
     key = (name, threads)
     with _shared_lock:
         backend = _shared.get(key)
@@ -1183,6 +888,19 @@ def shared_backend(
             backend = get_backend(name, threads=threads)
             _shared[key] = backend
         return backend
+
+
+def _env_threads() -> Optional[int]:
+    """``REPRO_THREADS`` as a thread count (unset or empty: ``None``)."""
+    env = os.environ.get("REPRO_THREADS")
+    if not env:
+        return None
+    try:
+        return _resolve_threads(int(env))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_THREADS must be an integer >= 1, got {env!r}"
+        ) from None
 
 
 def resolve_backend(
@@ -1207,8 +925,5 @@ def resolve_backend(
         # Empty string counts as unset (CI matrix legs export "").
         spec = os.environ.get("REPRO_BACKEND") or "serial"
     if threads is None:
-        env = os.environ.get("REPRO_THREADS")
-        threads = int(env) if env else None
-    if spec in ("serial", "array"):
-        threads = None  # one shared instance regardless of thread count
+        threads = _env_threads()
     return shared_backend(spec, threads)

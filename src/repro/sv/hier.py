@@ -195,12 +195,12 @@ class HierarchicalExecutor:
         reuse compiled plans across executors and engines.
     backend:
         Where sweeps run: an :class:`~repro.sv.backend.ExecutionBackend`
-        instance, a name (``"serial"`` / ``"threaded"`` / ``"process"``
-        / ``"array"``), or ``None`` to follow ``REPRO_BACKEND`` (default
-        serial).
+        instance, a name (``"serial"`` / ``"threaded"`` / ``"array"``),
+        or ``None`` to follow ``REPRO_BACKEND`` (default serial).
     threads:
-        Worker count for a backend resolved by name/environment
-        (default: ``REPRO_THREADS`` or the machine's core count).
+        Thread count for a ``threaded`` backend resolved by
+        name/environment, an integer >= 1 (default: ``REPRO_THREADS`` or
+        the machine's core count).
     method:
         Simulation method — ``"auto"`` / ``"dense"`` / ``"stabilizer"``,
         or ``None`` to follow ``REPRO_METHOD`` (default ``auto``).  The

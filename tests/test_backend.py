@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ import pytest
 from repro.circuits import generators
 from repro.dist.hisvsim import HiSVSimEngine
 from repro.partition import get_partitioner
+from repro.sv.backend import DEFAULT_MIN_PARALLEL_ELEMENTS
 from repro.sv import (
     ArrayBackend,
     ArrayModule,
@@ -19,7 +21,6 @@ from repro.sv import (
     FusedGate,
     HierarchicalExecutor,
     PlanCache,
-    ProcessBackend,
     SerialBackend,
     StateVectorSimulator,
     ThreadedBackend,
@@ -97,14 +98,37 @@ class TestSelection:
         assert isinstance(get_backend("serial"), SerialBackend)
         t = get_backend("threaded", threads=3)
         assert isinstance(t, ThreadedBackend) and t.threads == 3
-        p = get_backend("process", threads=2)
-        assert isinstance(p, ProcessBackend) and p.processes == 2
+        assert isinstance(get_backend("array"), ArrayBackend)
+        with pytest.raises(KeyError):
+            get_backend("process")
 
     def test_invalid_worker_counts(self):
         with pytest.raises(ValueError):
             ThreadedBackend(-2)
+
+    def test_zero_threads_rejected_not_defaulted(self):
+        # Regression: 0 used to be read as "unset" and silently became
+        # os.cpu_count(); only None means the default now.
+        for bad in (0, -1, 2.5, "2", True):
+            with pytest.raises(ValueError, match="threads"):
+                ThreadedBackend(bad)
         with pytest.raises(ValueError):
-            ProcessBackend(-1)
+            get_backend("threaded", threads=0)
+        with pytest.raises(ValueError):
+            shared_backend("threaded", 0)
+        assert ThreadedBackend(None).threads == (os.cpu_count() or 1)
+        assert ThreadedBackend(np.int64(3)).threads == 3
+
+    def test_env_threads_zero_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "threaded")
+        monkeypatch.setenv("REPRO_THREADS", "0")
+        with pytest.raises(ValueError, match="REPRO_THREADS"):
+            resolve_backend(None)
+
+    def test_env_threads_parse_error_names_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_THREADS", "x")
+        with pytest.raises(ValueError, match="REPRO_THREADS.*'x'"):
+            resolve_backend("threaded")
 
     def test_resolve_passthrough_instance(self):
         b = ThreadedBackend(2)
@@ -128,14 +152,26 @@ class TestSelection:
         assert shared_backend("serial") is shared_backend("serial")
         assert shared_backend("threaded", 2) is shared_backend("threaded", 2)
 
+    def test_shared_backend_default_threads_resolved_before_keying(self):
+        # The default thread count and its explicit value are the same
+        # configuration, so they must share one pool.
+        default = shared_backend("threaded", None)
+        assert default is shared_backend("threaded", os.cpu_count() or 1)
+        assert default.threads == (os.cpu_count() or 1)
+        # Pool-less backends ignore the thread count entirely.
+        assert shared_backend("array", 3) is shared_backend("array")
+
     def test_describe(self):
         assert SerialBackend().describe() == "serial"
         assert ThreadedBackend(4).describe() == "threaded[4]"
-        assert ProcessBackend(2).describe() == "process[2]"
 
-    def test_min_parallel_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MIN_PARALLEL", "123")
-        assert ThreadedBackend(2).min_parallel_elements == 123
+    def test_min_parallel_default_and_override(self):
+        assert (
+            ThreadedBackend(2).min_parallel_elements
+            == DEFAULT_MIN_PARALLEL_ELEMENTS
+        )
+        assert ThreadedBackend(2, min_parallel_elements=123) \
+            .min_parallel_elements == 123
 
     def test_resolve_empty_env_means_serial(self, monkeypatch):
         # CI matrix legs export REPRO_BACKEND="" for the serial leg.
@@ -198,6 +234,44 @@ class TestThreadedDeterminism:
         threaded = zero_state(9)
         with ThreadedBackend(4, min_parallel_elements=0) as b:
             HierarchicalExecutor(backend=b).run(qc, p, threaded)
+        assert np.array_equal(serial, threaded)
+
+    def test_small_workload_runs_inline(self):
+        # Under min_parallel_elements the sweep covers every row in one
+        # inline call: no pool is ever created, results stay exact.
+        qc = random_circuit(5, 10, seed=3)
+        p = get_partitioner("dagP").partition(qc, 3)
+        backend = ThreadedBackend(2, min_parallel_elements=1 << 14)  # >> 2^5
+        state = zero_state(5)
+        HierarchicalExecutor(backend=backend).run(qc, p, state)
+        assert backend._pool is None
+        assert float(np.max(np.abs(state - _reference_state(qc)))) < 1e-10
+
+    @pytest.mark.parametrize("mode", ["batched", "literal"])
+    @pytest.mark.parametrize("strided_max", [2, -1])
+    def test_blocks_match_one_serial_sweep(self, mode, strided_max):
+        # Both lanes, both modes: the threaded backend is the serial
+        # row-range sweep mapped over blocks, so at these widths (one
+        # GEMM shape per op either way) it is bit-identical to serial.
+        qc = random_circuit(8, 30, seed=17)
+        p = get_partitioner("dagP").partition(qc, 5)
+        serial = zero_state(8)
+        HierarchicalExecutor(
+            mode=mode, fuse=False,
+            backend=SerialBackend(strided_max=strided_max),
+        ).run(qc, p, serial)
+        threaded = zero_state(8)
+        trace = ExecutionTrace()
+        with ThreadedBackend(
+            3, min_parallel_elements=0, strided_max=strided_max
+        ) as b:
+            HierarchicalExecutor(mode=mode, fuse=False, backend=b).run(
+                qc, p, threaded, trace=trace
+            )
+        if mode == "batched" and strided_max == 2:
+            assert trace.strided_parts == p.num_parts
+        else:
+            assert trace.gathered_parts == p.num_parts
         assert np.array_equal(serial, threaded)
 
 
@@ -282,7 +356,7 @@ class TestTraceAccounting:
 
 
 # ---------------------------------------------------------------------------
-# FusedGate pickling (process backend transport)
+# FusedGate pickling
 # ---------------------------------------------------------------------------
 
 
@@ -298,106 +372,6 @@ class TestFusedGatePickle:
         # Restored matrices come back read-only, like the originals.
         with pytest.raises(ValueError):
             clone.matrix()[0, 0] = 7
-
-
-# ---------------------------------------------------------------------------
-# Process backend specifics
-# ---------------------------------------------------------------------------
-
-
-class TestProcessBackend:
-    def test_run_session_copies_back_and_cleans_up(self):
-        qc = generators.build("bv", 8)
-        p = get_partitioner("Nat").partition(qc, 5)
-        expected = _reference_state(qc)
-        with ProcessBackend(2, min_parallel_elements=0) as backend:
-            state = zero_state(8)
-            HierarchicalExecutor(backend=backend).run(qc, p, state)
-            assert backend.num_active_sessions == 0  # shm released with run
-            assert float(np.max(np.abs(state - expected))) < 1e-10
-
-    def test_nested_begin_run_same_state_rejected(self):
-        backend = ProcessBackend(2)
-        state = zero_state(4)
-        backend.begin_run(state)
-        try:
-            with pytest.raises(RuntimeError):
-                backend.begin_run(state)
-        finally:
-            backend.end_run(state)
-        assert backend.num_active_sessions == 0
-
-    def test_concurrent_runs_on_shared_instance(self):
-        # resolve_backend hands out one ProcessBackend process-wide, so
-        # concurrent executor runs on *different* states must each get
-        # their own shared-memory session (regression: an instance-level
-        # session raced and could unlink a segment out from under a
-        # concurrent run).
-        qc = random_circuit(6, 14, seed=31)
-        p = get_partitioner("dagP").partition(qc, 4)
-        expected = _reference_state(qc)
-        n_threads = 4
-        barrier = threading.Barrier(n_threads)
-        with ProcessBackend(2, min_parallel_elements=0) as backend:
-
-            def run_one(_):
-                executor = HierarchicalExecutor(backend=backend)
-                barrier.wait()
-                state = zero_state(6)
-                executor.run(qc, p, state)
-                return state
-
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                states = list(pool.map(run_one, range(n_threads)))
-            assert backend.num_active_sessions == 0
-        for state in states:
-            assert float(np.max(np.abs(state - expected))) < 1e-10
-
-    def test_small_workload_falls_back_serial(self):
-        # Under min_parallel_elements nothing is dispatched (no pool is
-        # ever created) yet results are exact.
-        qc = random_circuit(5, 10, seed=3)
-        p = get_partitioner("dagP").partition(qc, 3)
-        backend = ProcessBackend(2, min_parallel_elements=1 << 14)  # >> 2^5
-        state = zero_state(5)
-        HierarchicalExecutor(backend=backend).run(qc, p, state)
-        assert backend._pool is None
-        assert float(np.max(np.abs(state - _reference_state(qc)))) < 1e-10
-
-    def test_close_releases_abandoned_sessions(self):
-        backend = ProcessBackend(2)
-        state = zero_state(4)
-        backend.begin_run(state)  # ...and never end_run
-        backend.close()
-        assert backend.num_active_sessions == 0
-
-    def test_abnormal_exit_leaks_no_shared_memory(self):
-        # Regression: a run dying between begin_run and end_run used to
-        # leave its segment for resource_tracker to report as leaked at
-        # interpreter shutdown.  The atexit sweep must reap it silently.
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from repro.sv.backend import ProcessBackend\n"
-            "backend = ProcessBackend(2)\n"
-            "state = np.zeros(1 << 12, dtype=np.complex128)\n"
-            "backend.begin_run(state)\n"
-            "sys.exit(3)  # dies before end_run\n"
-        )
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(here, "src")
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert result.returncode == 3
-        assert "leaked shared_memory" not in result.stderr, result.stderr
-        assert "resource_tracker" not in result.stderr, result.stderr
 
 
 # ---------------------------------------------------------------------------

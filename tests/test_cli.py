@@ -78,14 +78,28 @@ class TestCli:
         assert "part wall time" in out
         assert "max |fused - flat|" in out
 
-    def test_simulate_process_backend(self, capsys):
-        assert main([
-            "simulate", "bv", "--qubits", "8", "--backend", "process",
-            "--threads", "2", "--verify",
-        ]) == 0
+    def test_simulate_rejects_removed_process_backend(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "bv", "--qubits", "8", "--backend", "process"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'process'" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "cut", "batch", "serve"])
+    def test_backend_choices_come_from_registry(self, command, capsys):
+        from repro.sv import BACKEND_NAMES
+
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
         out = capsys.readouterr().out
-        assert "backend=process[2]" in out
-        assert "max |fused - flat|" in out
+        assert "{" + ",".join(BACKEND_NAMES) + "}" in out
+
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_threads_must_be_positive_int(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "bv", "--qubits", "6", "--threads", value])
+        assert exc.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
 
     def test_simulate_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

@@ -1,21 +1,23 @@
 """Randomized differential harness over the whole execution matrix.
 
 Every combination of {partitioner} x {fuse on/off} x {serial, threaded,
-process, array backend} x {batched, literal mode} must produce the same
-final state as the literal per-gate reference kernels, on seeded random
-circuits drawn from the full gate vocabulary.  This is the repo's
+array, array-device backend} x {batched, literal mode} must produce the
+same final state as the literal per-gate reference kernels, on seeded
+random circuits drawn from the full gate vocabulary.  This is the repo's
 broadest property test: any regression in partitioning, fusion,
 backends, gather tables or kernels lands somewhere in this grid.
 
 Case economy: circuits/reference states are cached per seed and
 partitions per (seed, strategy), so the sweep's cost is dominated by the
-executions themselves.  The process backend runs a reduced seed set
-(real worker processes per case are the expensive axis); the full grid
-of 48 combinations is still covered and the total case count stays
-above 200 (see ``test_case_count_floor``).  The array backend sweeps
-its NumPy module, which is required to be bit-identical to the serial
-backend (checked against a serial rerun per case, not just the 1e-10
-reference tolerance).
+executions themselves.  The full grid of 48 combinations is covered and
+the total case count stays above 200 (see ``test_case_count_floor``).
+The ``array`` slot sweeps the NumPy host module, which is required to
+be bit-identical to the serial backend (checked against a serial rerun
+per case, not just the 1e-10 reference tolerance).  The
+``array-device`` slot forces the same NumPy namespace down the device
+lane (``host=False``: explicit uploads, out-of-place sweeps over a
+cached device plan), so that code answers to the reference oracle even
+without a GPU in the image.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.partition import get_partitioner
 from repro.sv import (
     ArrayBackend,
+    ArrayModule,
     ExecutionTrace,
     HierarchicalExecutor,
-    ProcessBackend,
     SerialBackend,
     ThreadedBackend,
     apply_gate_reference,
@@ -43,12 +45,12 @@ STRATEGIES = ("Nat", "DFS", "dagP")
 MODES = ("batched", "literal")
 FUSE = (True, False)
 
-# Seeds per backend: thread dispatch is cheap, real processes are not.
+# Seeds per backend.
 SEEDS = {
     "serial": tuple(range(8)),
     "threaded": tuple(range(8)),
-    "process": tuple(range(3)),
     "array": tuple(range(6)),
+    "array-device": tuple(range(6)),
 }
 
 # 2 strategies-independent axes first: cases = sum over backends of
@@ -120,13 +122,14 @@ def backends():
     made = {
         "serial": SerialBackend(),
         "threaded": ThreadedBackend(3, min_parallel_elements=0),
-        "process": ProcessBackend(2, min_parallel_elements=0),
         "array": ArrayBackend(),
+        "array-device": ArrayBackend(
+            module=ArrayModule("numpy", np, host=False)
+        ),
     }
     yield made
-    made["threaded"].close()
-    made["process"].close()
-    made["array"].close()
+    for backend in made.values():
+        backend.close()
 
 
 @pytest.mark.parametrize("backend,seed,strategy,fuse,mode", _case_params())
