@@ -60,7 +60,7 @@ def structural_fingerprint(circuit: QuantumCircuit) -> str:
     gate parameters are deliberately left out.  Two circuits share a
     structural fingerprint exactly when they share gate names, operands
     and order — the condition under which they partition identically
-    and their fused-plan structures (groupings, gather tables) are
+    and their fused-plan structures (groupings, gather offsets) are
     interchangeable.  This is the cache key for partitions, compiled
     plan structures and schedule grouping.
 

@@ -6,7 +6,7 @@ through the hierarchical pipeline with every reusable artefact shared:
 * one **partition cache** keyed by structural fingerprint — a QAOA
   angle sweep partitions once, not once per job;
 * one **plan cache** (:class:`~repro.sv.fusion.PlanCache`) routed
-  through its structural layer — fusion groupings and gather tables are
+  through its structural layer — fusion groupings and gather offsets are
   compiled once per structure, only the fused matrices are rebuilt per
   job (``HierarchicalExecutor.run(structural_key=...)``);
 * one **execution backend** — serial, threaded or array, exactly as
@@ -69,7 +69,7 @@ class BatchStats:
 
     ``partitions_computed`` + ``partition_hits`` equals the job count;
     ``structures_compiled`` counts part-plan structures built (fusion
-    grouping + gather tables) and ``structure_hits`` the parts that
+    grouping + gather offsets) and ``structure_hits`` the parts that
     reused one.  A ``J``-job single-structure batch over a ``P``-part
     partition therefore shows ``partitions_computed=1`` and
     ``structures_compiled=P`` however large ``J`` grows — that

@@ -4,48 +4,33 @@ The hierarchical executor reduces every part to the same shape of work:
 gather the part's inner vectors, apply its compiled ops, scatter them
 back.  Rows of the ``(2^(n-w), 2^w)`` gather matrix are independent — a
 gate only mixes amplitudes *within* a row — so that work is written
-once, as a sweep over a row range ``[lo, hi)`` (:func:`_part_sweep`),
-and the host backends differ only in how they cover the rows:
+once, as a row-range sweep (:func:`_part_sweep`) run cache-blocked: all
+of a part's ops on one power-of-two row block of at most
+:data:`DEFAULT_BLOCK_ELEMENTS` amplitudes before the next block starts.
+The host backends differ only in how they cover the blocks:
 
-* :class:`SerialBackend` — one sweep over all rows; the reference all
+* :class:`SerialBackend` — the blocks in order; the reference all
   others must match.
-* :class:`ThreadedBackend` — maps the same sweep over deterministic
-  contiguous row blocks (:func:`split_blocks`) on a shared
-  ``ThreadPoolExecutor``.  The heavy work per block is a GEMM
-  (``numpy`` matmul) which releases the GIL into BLAS, so this yields
-  real shared-memory parallelism without processes.  Block boundaries
-  depend only on ``(rows, threads)`` and results are written back to
-  disjoint row slices, so output is **deterministic**: identical bits
-  on every run at a given thread count (BLAS GEMM results can shift by
-  an ulp when the per-block column count changes, so agreement with
-  serial is exact in structure but pinned only to 1e-10 in general).
-* :class:`ArrayBackend` — the same sweeps expressed through a pluggable
-  array namespace (:func:`resolve_array_module`: NumPy always, CuPy or
-  PyTorch when importable — ``REPRO_ARRAY_MODULE``).  With a device
-  module, the state is uploaded once per run (``begin_run``/``end_run``)
-  and each plan's matrices and gather table are kept device-resident in
-  a per-plan cache, so sweeps never touch the host between part
-  boundaries; with NumPy it shares the serial code path and is
-  **bit-identical** to :class:`SerialBackend`.
+* :class:`ThreadedBackend` — the same blocks dealt to a shared
+  ``ThreadPoolExecutor`` (GEMMs release the GIL into BLAS), split further
+  only when there are fewer blocks than threads: **deterministic**, and
+  **bit-identical** to serial whenever a part has ``threads`` blocks.
+* :class:`ArrayBackend` — the same sweeps through a pluggable array
+  namespace (:func:`resolve_array_module`, ``REPRO_ARRAY_MODULE``).  A
+  device module (CuPy, PyTorch) keeps the state and each plan's operands
+  device-resident for a whole run; NumPy shares the serial code path
+  and is **bit-identical** to :class:`SerialBackend`.
 
 Parts whose fused groups are all small (``<= REPRO_KERNEL_STRIDED_MAX``
-target qubits after control extraction, default 2) skip the gather
-matrix entirely: the in-place strided path
-(:func:`~repro.sv.kernels.apply_matrix_strided`) applies each op
-directly to the flat state, cutting a single-op part's memory traffic
-~3x (no index table, no gather, no scatter) while staying bit-identical
-to the gathered result on the same backend — both paths reduce to
-GEMMs of identical shape, so not even the last ulp moves.  ``run_plan``
-reports which path ran
-(``"strided"`` / ``"gather"``) and the executor's ``ExecutionTrace``
-tallies the counts; see ``docs/backends.md``.
+targets after control extraction, default 2) skip the gather: the
+strided lane applies each op in place to row blocks of the flat state
+(:func:`~repro.sv.kernels.apply_matrix_strided`), bit-identically.
+``run_plan`` returns the lane (``"strided"`` / ``"gather"``) and
+``ExecutionTrace`` tallies them; see ``docs/backends.md``.
 
-Backends are selected per executor (``backend="threaded"``), from the
-CLI (``repro simulate --backend threaded --threads 4``) or globally via
-the environment (``REPRO_BACKEND`` / ``REPRO_THREADS``), and small
-workloads fall back to the serial path automatically
-(``min_parallel_elements``) so parallel dispatch overhead never taxes
-toy problems.
+Backends are selected per executor (``backend="threaded"``), on the CLI
+(``--backend threaded --threads 4``) or via ``REPRO_BACKEND`` /
+``REPRO_THREADS``; small workloads run inline (``min_parallel_elements``).
 """
 
 from __future__ import annotations
@@ -61,10 +46,12 @@ import numpy as np
 from ..circuits.gates import Gate
 from .kernels import (
     _apply_strided,
+    _diag_factor,
     _gate_axes,
     apply_gate,
-    apply_matrix,
+    apply_layout_steps,
     apply_matrix_batched,
+    layout_program,
     split_controls,
     strided_max_qubits,
 )
@@ -91,12 +78,10 @@ __all__ = [
 #: Override per instance (``min_parallel_elements=``).
 DEFAULT_MIN_PARALLEL_ELEMENTS = 1 << 14
 
-#: Target amplitudes per threaded block (8 MB of complex128).  The
-#: threaded backend splits work into ``max(threads, size/target)``
-#: blocks: beyond pure parallelism, smaller blocks keep each block's
-#: gather/ops/scatter cache-resident across all of a part's fused ops,
-#: which is why threaded execution beats serial even on one core.
-DEFAULT_BLOCK_ELEMENTS = 1 << 19
+#: Amplitudes per row block (1 MiB of complex128): a part runs all its
+#: ops on one block before the next, so the block and its GEMM output
+#: stay in L2.  Won a 2^14..2^19 sweep on qft20/qaoa20 (docs/backends.md).
+DEFAULT_BLOCK_ELEMENTS = 1 << 16
 
 #: A row-range sweep: ``sweep(lo, hi)`` runs a part over rows ``[lo, hi)``.
 RowSweep = Callable[[int, int], None]
@@ -249,68 +234,77 @@ def _strided_eligible(plan, strided_max: int) -> bool:
     return True
 
 
-def _part_sweep(
-    plan, state: np.ndarray, num_qubits: int, mode: str, strided_max: int
-) -> Tuple[str, int, RowSweep]:
-    """One part as a row-range sweep: ``(path, rows, sweep)``.
+def _row_blocks(rows: int, row_width: int, block_elements: int):
+    """Blocks of a power of two of ``2^row_width``-amplitude rows: at
+    most ``block_elements`` amplitudes, at least a row.
 
-    ``sweep(lo, hi)`` applies the part's ops to rows ``[lo, hi)`` and
-    writes them back.  Rows are independent, so covering ``range(rows)``
-    with disjoint blocks — in any order, on any thread — runs the whole
-    part; ``path`` names the kernel lane.
+    >>> _row_blocks(8, 2, 16)
+    [(0, 4), (4, 8)]
+    """
+    step = 1 << max(0, block_elements.bit_length() - 1 - row_width)
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _part_sweep(
+    plan, state: np.ndarray, num_qubits: int, mode: str, strided_max: int,
+    block_elements: int = DEFAULT_BLOCK_ELEMENTS,
+) -> Tuple[str, List[Tuple[int, int]], RowSweep]:
+    """One part as a row-range sweep: ``(path, blocks, sweep)``.
+
+    ``sweep(lo, hi)`` runs all of the part's ops on rows ``[lo, hi)``
+    and writes them back.  Rows are independent, so covering them with
+    disjoint ranges — in any order, on any thread — runs the whole
+    part; ``blocks`` is the cache-sized cover and ``path`` names the
+    kernel lane.
 
     * **strided** (``mode="batched"``, every op within ``strided_max``
       targets): ops carry *global* qubit labels, all below
       ``local = max qubit + 1``, so the flat state is a ``(rows,
-      2^local)`` view and each op lands in place on a leading-row block
-      through bit-strided views — no index table, no gathered copy.
-    * **gather**: rows of the part's gather table.  ``batched`` gathers
-      a whole row block as one matrix; ``literal`` gathers one inner
-      vector at a time (the paper's loop).
+      2^local)`` view and each op lands in place on a row block through
+      bit-strided views — no index, no gathered copy.
+    * **gather**: rows ``outer[t] + inner`` of the factored gather
+      table, gathered into the plan's start layout, run through its
+      layout steps (:func:`~repro.sv.kernels.apply_layout_steps`) and
+      scattered from its final layout.  ``literal`` (the paper's loop)
+      is one-row blocks.
     """
     if mode == "batched" and _strided_eligible(plan, strided_max):
         ops = plan.ops
         if not ops:
-            return "strided", 0, lambda lo, hi: None
+            return "strided", [], lambda lo, hi: None
         local = max(q for op in ops for q in op.qubits) + 1
         view = state.reshape(-1, 1 << local)
+        splits = [split_controls(op.matrix(), op.qubits) for op in ops]
 
         def sweep(lo: int, hi: int) -> None:
             sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
-            for op in ops:
-                _apply_strided(
-                    sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
-                )
+            for op, split in zip(ops, splits):
+                _apply_strided(sub, split, local, 1, op.is_diagonal)
 
-        return "strided", view.shape[0], sweep
+        return "strided", _row_blocks(len(view), local, block_elements), sweep
 
     w = len(plan.qubits)
-    ops = plan.local_ops()
-    table = plan.gather_table(num_qubits)
-    if mode == "batched":
+    outer, inner = plan.structure.offsets(num_qubits)
+    start, steps, final = plan.structure.layout
+    program = layout_program(plan.local_ops(), steps, w)
+    # A block's index is one broadcast add of its outer offsets onto the
+    # inner offsets laid out like the block (axis labels as in
+    # layout_steps); the final layout folds into the scatter index.
+    inner = inner.reshape((1,) + (2,) * w)
+    laid = [
+        (lay, np.ascontiguousarray(inner.transpose([w - a for a in lay])))
+        for lay in (start, final)
+    ]
 
-        def sweep(lo: int, hi: int) -> None:
-            rows = table[lo:hi]
-            inner = state[rows]  # (hi - lo, 2^w) copy
-            for op in ops:
-                apply_matrix_batched(
-                    inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
-                )
-            state[rows] = inner
+    def sweep(lo: int, hi: int) -> None:
+        gather, scatter = (
+            outer[lo:hi].reshape([hi - lo if a == w else 1 for a in lay]) + at
+            for lay, at in laid
+        )
+        state[scatter] = apply_layout_steps(state[gather], program)
 
-    else:
-
-        def sweep(lo: int, hi: int) -> None:
-            for t in range(lo, hi):
-                in_sv = state[table[t]]  # fancy indexing: a copy
-                for op in ops:
-                    apply_matrix(
-                        in_sv, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[table[t]] = in_sv
-
-    return "gather", table.shape[0], sweep
+    per_block = block_elements if mode == "batched" else 1
+    return "gather", _row_blocks(outer.size, w, per_block), sweep
 
 
 def _run_part_serial(
@@ -320,21 +314,22 @@ def _run_part_serial(
     mode: str,
     strided_max: Optional[int] = None,
 ) -> str:
-    """The serial part loop — one sweep over every row; returns the
-    kernel path that ran."""
+    """The serial part loop — the sweep over each row block in turn;
+    returns the kernel path that ran."""
     if strided_max is None:
         strided_max = strided_max_qubits()
-    path, rows, sweep = _part_sweep(plan, state, num_qubits, mode, strided_max)
-    sweep(0, rows)
+    path, blocks, sweep = _part_sweep(plan, state, num_qubits, mode, strided_max)
+    for lo, hi in blocks:
+        sweep(lo, hi)
     return path
 
 
 class SerialBackend(ExecutionBackend):
     """Single-threaded execution — the reference all others must match.
 
+    Each part runs block by block (:data:`DEFAULT_BLOCK_ELEMENTS`).
     Small fused groups run gather-free (``strided_max``, default from
-    ``REPRO_KERNEL_STRIDED_MAX``); everything else takes the classic
-    gather/execute/scatter sweep.  Both paths are bit-identical.
+    ``REPRO_KERNEL_STRIDED_MAX``); the rest gather/execute/scatter.
 
     >>> import numpy as np
     >>> from repro.circuits.gates import make_gate
@@ -368,8 +363,8 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadedBackend(ExecutionBackend):
-    """Row-block parallelism on a thread pool: the serial sweep, mapped
-    over :func:`split_blocks`.
+    """Row-block parallelism on a thread pool: serial's own row blocks,
+    dealt across the pool in contiguous runs.
 
     >>> import numpy as np
     >>> rows = np.eye(4, dtype=np.complex128)
@@ -389,12 +384,8 @@ class ThreadedBackend(ExecutionBackend):
         block (default 16384).  Set 0 to force parallel dispatch (the
         differential tests do).
     block_elements:
-        Target amplitudes per block; work splits into
-        ``max(threads, total/block_elements)`` blocks (clipped to the
-        row count) so big parts get cache-sized blocks even when few
-        threads are requested.  Block boundaries depend only on sizes
-        and settings — never on scheduling — so results stay
-        reproducible.
+        Amplitudes per row block (default :data:`DEFAULT_BLOCK_ELEMENTS`,
+        serial's blocks); boundaries depend only on sizes and settings.
     """
 
     name = "threaded"
@@ -417,10 +408,6 @@ class ThreadedBackend(ExecutionBackend):
         )
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-
-    def _num_blocks(self, rows: int, total_elements: int) -> int:
-        by_size = -(-total_elements // self.block_elements)  # ceil div
-        return min(rows, max(self.threads, by_size))
 
     def describe(self) -> str:
         return f"threaded[{self.threads}]"
@@ -468,23 +455,32 @@ class ThreadedBackend(ExecutionBackend):
         if error is not None:
             raise error
 
-    def _map_rows(self, fn: RowSweep, rows: int, elements: int) -> None:
-        """Cover ``range(rows)`` with ``fn``: one inline call for small
-        workloads, else deterministic blocks across the pool."""
+    def _map_rows(self, fn: RowSweep, blocks, elements: int) -> None:
+        """Run ``fn`` over ``blocks`` in order, inline for small
+        workloads; else deal them to the pool in contiguous runs, split
+        further (:func:`split_blocks`) only if fewer than the threads."""
+        rows = blocks[-1][1] if blocks else 0
         if rows < 2 or elements < self.min_parallel_elements:
-            fn(0, rows)
+            for lo, hi in blocks:
+                fn(lo, hi)
             return
-        self._map_blocks(
-            fn, split_blocks(rows, self._num_blocks(rows, elements))
-        )
+        if len(blocks) < self.threads:
+            blocks = split_blocks(rows, self.threads)
+
+        def run(first: int, last: int) -> None:
+            for lo, hi in blocks[first:last]:
+                fn(lo, hi)
+
+        self._map_blocks(run, split_blocks(len(blocks), self.threads))
 
     # -- work --------------------------------------------------------------
 
     def run_plan(self, plan, state, num_qubits, mode="batched"):
-        path, rows, sweep = _part_sweep(
-            plan, state, num_qubits, mode, self.strided_max
+        path, blocks, sweep = _part_sweep(
+            plan, state, num_qubits, mode, self.strided_max,
+            self.block_elements,
         )
-        self._map_rows(sweep, rows, state.size)
+        self._map_rows(sweep, blocks, state.size)
         return path
 
     def apply_matrix_rows(
@@ -495,7 +491,8 @@ class ThreadedBackend(ExecutionBackend):
                 rows[lo:hi], matrix, positions, num_local, diagonal=diagonal
             )
 
-        self._map_rows(block, rows.shape[0], rows.size)
+        blocks = _row_blocks(len(rows), num_local, self.block_elements)
+        self._map_rows(block, blocks, rows.size)
 
     def apply_gate_flat(self, state, gate, num_qubits):
         # A gate on qubits < w leaves the leading 2^(n-w) blocks of the
@@ -739,12 +736,8 @@ class ArrayBackend(ExecutionBackend):
         axes = _gate_axes(w + 1, w, qubits, lead=1)
         if not diagonal:
             return (self.module.from_host(matrix), axes, False)
-        fac = np.ascontiguousarray(np.diag(matrix)).reshape((2,) * len(axes))
-        fac = fac.transpose(tuple(np.argsort(axes)))
-        shape = [1] * (w + 1)
-        for ax in axes:
-            shape[ax] = 2
-        return (self.module.from_host(fac.reshape(shape)), axes, True)
+        fac = _diag_factor(np.diag(matrix), axes, w + 1)
+        return (self.module.from_host(fac), axes, True)
 
     # -- work --------------------------------------------------------------
 

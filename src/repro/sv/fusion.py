@@ -30,7 +30,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate
 from .kernels import apply_matrix_batched
-from .layout import extract_bits, gather_index_table
+from .layout import extract_bits, gather_offsets
 
 __all__ = [
     "FusedGate",
@@ -38,6 +38,7 @@ __all__ = [
     "plan_fusion_groups",
     "PartPlanStructure",
     "build_part_structure",
+    "layout_steps",
     "CompiledPartPlan",
     "PlanCache",
     "CacheCounters",
@@ -257,10 +258,34 @@ def _group_matrix(gates: Sequence[Gate], group: FusionGroup) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-#: Gather tables above this many int64 elements (2 MB) are rebuilt per
-#: call instead of retained — plans live in long-lived caches, and an
-#: O(2^n) table pinned per part would dwarf the fused matrices.
-_TABLE_CACHE_MAX_ELEMENTS = 1 << 18
+def layout_steps(ops, qubits: Sequence[int]):
+    """Layout-tracking steps for ``ops`` (``.qubits``, ``.diagonal``) on
+    a ``(B,) + (2,)*w`` block over working set ``qubits``.
+
+    Returns ``(start, steps, final)``.  A layout lists axis labels: inner
+    position ``q``, or ``w`` for the row axis (gather order ``(w, ...,
+    0)``).  A dense op's step is the transpose bringing its targets (msb
+    operand first) to the front, where its GEMM leaves them; a diagonal
+    op's is its target axes.  ``start`` is the first dense op's layout,
+    so the gather lands there.  Steps depend only on operands.
+
+    >>> h, z = FusionGroup((0,), (0,), False), FusionGroup((1,), (1,), True)
+    >>> layout_steps([h, z], (0, 1))
+    ((0, 2, 1), ((0, 1, 2), (2,)), (0, 2, 1))
+    """
+    w, pos = len(qubits), {q: i for i, q in enumerate(qubits)}
+    ops = [(tuple(pos[q] for q in op.qubits[::-1]), op.diagonal) for op in ops]
+    lead = next((t for t, diagonal in ops if not diagonal), ())
+    start = cur = lead + tuple(a for a in range(w, -1, -1) if a not in lead)
+    steps = []
+    for targets, diagonal in ops:
+        if diagonal:
+            steps.append(tuple(cur.index(a) for a in targets))
+            continue
+        new = targets + tuple(a for a in cur if a not in targets)
+        steps.append(tuple(cur.index(a) for a in new))
+        cur = new
+    return start, tuple(steps), cur
 
 
 class PartPlanStructure:
@@ -268,7 +293,7 @@ class PartPlanStructure:
 
     Everything about a part's execution that does **not** depend on gate
     parameters lives here: the fusion grouping, the working-set qubit
-    tuple and the (memoised) Algorithm-1 gather table.  Grouping only
+    tuple, its layout steps and the factored gather table.  Grouping only
     consults gate *names* and operands — diagonality is a property of
     the gate definition, never of its angles — so two circuits that
     differ only in parameters (a QAOA angle sweep) share one structure.
@@ -296,7 +321,8 @@ class PartPlanStructure:
         "num_source_gates",
         "fused",
         "max_fused_qubits",
-        "_table",
+        "_layout",
+        "_offsets",
     )
 
     def __init__(
@@ -312,7 +338,8 @@ class PartPlanStructure:
         self.num_source_gates = int(num_source_gates)
         self.fused = bool(fused)
         self.max_fused_qubits = int(max_fused_qubits)
-        self._table: Optional[Tuple[int, np.ndarray]] = None
+        self._layout: Optional[tuple] = None
+        self._offsets: Optional[tuple] = None
 
     @property
     def num_ops(self) -> int:
@@ -329,18 +356,29 @@ class PartPlanStructure:
         """
         return all(g.clifford for g in self.groups)
 
-    def gather_table(self, num_qubits: int) -> np.ndarray:
-        """Algorithm-1 gather table for this working set (small ones cached).
+    @property
+    def layout(self) -> tuple:
+        """:func:`layout_steps` of the groups (memoised)."""
+        if self._layout is None:
+            self._layout = layout_steps(self.groups, self.qubits)
+        return self._layout
 
-        The memo is shared by every plan bound from this structure — a
-        benign race between threads recomputes an identical array.
-        """
-        if self._table is not None and self._table[0] == num_qubits:
-            return self._table[1]
-        table = gather_index_table(num_qubits, self.qubits)
-        if table.size <= _TABLE_CACHE_MAX_ELEMENTS:
-            self._table = (num_qubits, table)
-        return table
+    def offsets(self, num_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The gather table factored: row ``t`` is ``outer[t] + inner``
+        (``2^(n-w)`` outer and ``2^w`` inner offsets; memoised, shared by
+        every plan bound from this structure)."""
+        memo = self._offsets  # a benign race recomputes identical arrays
+        if memo is None or memo[0] != num_qubits:
+            memo = (num_qubits, gather_offsets(num_qubits, self.qubits))
+            self._offsets = memo
+        return memo[1]
+
+    def gather_table(self, num_qubits: int) -> np.ndarray:
+        """Algorithm-1 gather table composed from :meth:`offsets` — not
+        retained, as the ``O(2^n)`` table would outlive its one user,
+        the array device lane, in long-lived plan caches."""
+        outer, inner = self.offsets(num_qubits)
+        return outer[:, None] + inner
 
     def bind(
         self,
@@ -421,7 +459,7 @@ def build_part_structure(
 
 
 class CompiledPartPlan:
-    """A part's gate list compiled to fused ops, plus cached index tables.
+    """A part's gate list compiled to fused ops over a shared structure.
 
     ``ops`` carry **global** qubit labels (usable directly by the
     distributed engines, whose remap step makes part qubits local);
@@ -429,9 +467,9 @@ class CompiledPartPlan:
     ``qubits`` for the hierarchical gather/execute/scatter path.
 
     Every plan is bound from a :class:`PartPlanStructure`
-    (``structure``) and shares that structure's gather-table memo, so
-    structurally identical circuits (parameter sweeps) never rebuild
-    the ``O(2^n)`` index table.
+    (``structure``) and shares its layout steps and gather-offset memo,
+    so structurally identical circuits (parameter sweeps) never rebuild
+    either.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
@@ -493,11 +531,7 @@ class CompiledPartPlan:
         return self._local_ops
 
     def gather_table(self, num_qubits: int) -> np.ndarray:
-        """Algorithm-1 gather table for this working set (small ones cached).
-
-        Delegates to the structure's memo, shared by every plan bound
-        from it.
-        """
+        """Algorithm-1 gather table (see the structure's)."""
         return self.structure.gather_table(num_qubits)
 
 
@@ -573,20 +607,20 @@ class PlanCache:
     The cache is **thread-safe**: concurrent ``get_or_compile`` calls for
     the same part serialise on an internal lock, so a plan is compiled
     exactly once and never observed half-built.  Compiled plans
-    themselves are immutable after construction (the lazy ``local_ops``
-    / ``gather_table`` memos in :class:`CompiledPartPlan` are idempotent
-    — a benign race recomputes an identical value), so returned plans may
-    be used from any number of threads without further locking.
+    themselves are immutable after construction (the lazy ``local_ops``,
+    layout and offset memos are idempotent — a benign race recomputes an
+    identical value), so returned plans may be used from any number of
+    threads without further locking.
 
     Beyond the per-circuit (``id``-keyed) plan layer, the cache holds a
     **structural** layer keyed by a caller-supplied fingerprint (see
     :func:`repro.serve.circuit_fingerprint`): :meth:`get_or_bind` reuses
-    one :class:`PartPlanStructure` — fusion grouping plus gather tables —
-    across all circuits sharing a structure, binding only fresh matrices
-    per circuit.  ``structure_hits`` / ``structure_misses`` account that
-    layer; a parameter sweep of ``J`` structurally identical jobs over a
-    ``P``-part partition shows exactly ``P`` structure misses and
-    ``(J - 1) * P`` structure hits.
+    one :class:`PartPlanStructure` — fusion grouping, layout steps and
+    gather offsets — across all circuits sharing a structure, binding
+    only fresh matrices per circuit.  ``structure_hits`` /
+    ``structure_misses`` account that layer; a parameter sweep of ``J``
+    structurally identical jobs over a ``P``-part partition shows
+    exactly ``P`` structure misses and ``(J - 1) * P`` structure hits.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)

@@ -3,12 +3,14 @@
 For each part: build inner state vectors over the part's working set,
 execute the part's gates on them, scatter results back.  Two engines:
 
-* ``mode="batched"`` (default): the gather index table turns the outer
-  state into a ``(2^(n-w), 2^w)`` matrix whose rows are all the inner
-  state vectors at once; gates run batched across rows.  Numerically
-  identical to the literal loop, dramatically faster in numpy.
+* ``mode="batched"`` (default): rows of the gather index table — the
+  inner state vectors — run in cache-sized blocks of several rows, all
+  of a part's gates on one block before the next.
 * ``mode="literal"``: the paper's loop — one inner state vector per
-  combination of non-part qubits — kept for validation and cache tracing.
+  combination of non-part qubits.  The same sweep with one-row blocks:
+  as fast as ``batched`` once a row fills a block, and bit-identical to
+  it except on tiny parts, whose one-row GEMMs have under four columns;
+  kept for validation and cache tracing.
 
 Before execution, each part's gate list is compiled through
 :mod:`repro.sv.fusion` (default on): maximal ``<= max_fused_qubits``
@@ -24,12 +26,13 @@ level part" rule.
 
 Where the sweeps run is delegated to an
 :class:`~repro.sv.backend.ExecutionBackend` (``backend=``): serial (the
-default), threaded row-block parallelism, shared-memory worker
-processes, or the array-namespace backend (NumPy/CuPy/PyTorch) — all
-bit-identical to each other by construction on the NumPy paths.  Parts
-whose fused groups are small enough skip the gather matrix entirely
-(the strided fast lane — see ``docs/backends.md``); the trace records
-which lane each part took.
+default), threaded row-block parallelism, or the array-namespace
+backend (NumPy/CuPy/PyTorch) — deterministic everywhere, and
+bit-identical to each other on the NumPy paths whenever a part has at
+least as many row blocks as threads.  Parts whose fused groups are
+small enough skip the gather matrix entirely (the strided fast lane —
+see ``docs/backends.md``); the trace records which lane each part
+took.
 
 *What* runs them is a per-part engine decision (``method=``): dense
 gather-matrix sweeps by default, or the
@@ -279,7 +282,7 @@ class HierarchicalExecutor:
         plan cache's structural layer: pass a fingerprint of the
         circuit's structure (:func:`repro.serve.circuit_fingerprint`)
         and structurally identical circuits — parameter sweeps — reuse
-        one fusion structure and its gather tables, rebuilding only the
+        one fusion structure and its gather offsets, rebuilding only the
         fused matrices.  Without it, plans are keyed per circuit object
         exactly as before.
 

@@ -10,15 +10,14 @@ Two interchangeable engines:
   the paper's Fig. 1 description; used for cross-validation and as the
   access-pattern source for the cache model.
 
-A third, gather-free path backs the execution backends'
-small-fused-group fast lane: :func:`apply_matrix_strided` applies a
-unitary directly to the flat state through bit-strided views — no
-``(2^(n-w), 2^w)`` gather matrix, no index table — and
-:func:`split_controls` peels control qubits off a matrix so controlled
-and diagonal groups touch only the rows they change.  Eligibility is
-governed by ``REPRO_KERNEL_STRIDED_MAX`` (:func:`strided_max_qubits`).
-
-All kernels operate **in place** and return their input array.
+:func:`apply_layout_steps` runs a part's ops on a gathered row block,
+each GEMM writing a fresh buffer in its op's axis order (no write-back).
+The gather-free strided lane (:func:`apply_matrix_strided`, eligibility
+``REPRO_KERNEL_STRIDED_MAX`` via :func:`strided_max_qubits`) applies a
+unitary to the flat state through bit-strided views, with
+:func:`split_controls` peeling off controls so controlled and diagonal
+groups touch only the rows they change.  All other kernels operate
+**in place** and return their input array.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ __all__ = [
     "apply_matrix",
     "apply_matrix_batched",
     "apply_matrix_strided",
+    "apply_layout_steps",
+    "layout_program",
     "apply_gate",
     "apply_gate_batched",
     "apply_gate_reference",
@@ -73,16 +74,15 @@ def _apply_dense(view: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> N
     moved[...] = res.reshape(shape)
 
 
-def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> None:
-    """Copy-free diagonal-gate path: broadcast multiply over gate axes."""
-    k = len(axes)
-    fac = diag.reshape((2,) * k)
-    order = np.argsort(axes)  # fac axes sorted by view-axis index
-    fac = fac.transpose(tuple(order))
-    shape = [1] * view.ndim
+def _diag_factor(diag: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """Copy-free diagonal path: ``diag`` shaped to broadcast-multiply an
+    ``ndim``-axis view whose gate axes (msb operand first) are ``axes``."""
+    fac = diag.reshape((2,) * len(axes))
+    fac = fac.transpose(tuple(np.argsort(axes)))  # sorted by view axis
+    shape = [1] * ndim
     for ax in axes:
         shape[ax] = 2
-    view *= fac.reshape(shape)
+    return fac.reshape(shape)
 
 
 def apply_matrix(
@@ -115,12 +115,9 @@ def apply_matrix(
             f"{num_qubits} requires {1 << num_qubits}; for batched "
             f"(B, 2^k) inputs use apply_matrix_batched"
         )
-    view = state.reshape((2,) * num_qubits)
-    axes = _gate_axes(num_qubits, num_qubits, qubits, lead=0)
-    if diagonal:
-        _apply_diagonal(view, np.ascontiguousarray(np.diag(matrix)), axes)
-    else:
-        _apply_dense(view, matrix, axes)
+    apply_matrix_batched(
+        state.reshape(1, -1), matrix, qubits, num_qubits, diagonal=diagonal
+    )
     return state
 
 
@@ -167,7 +164,7 @@ def apply_matrix_batched(
     view = states.reshape((batch,) + (2,) * num_local)
     axes = _gate_axes(num_local + 1, num_local, qubits, lead=1)
     if diagonal:
-        _apply_diagonal(view, np.ascontiguousarray(np.diag(matrix)), axes)
+        view *= _diag_factor(np.diag(matrix), axes, view.ndim)
     else:
         _apply_dense(view, matrix, axes)
     return states
@@ -192,6 +189,41 @@ def apply_gate_batched(
         num_local,
         diagonal=gate.is_diagonal,
     )
+
+
+def layout_program(ops, steps, num_local: int) -> list:
+    """Pair ops with their :func:`~repro.sv.fusion.layout_steps` steps:
+    ``(perm, matrix)`` if dense, ``(None, factor)`` if diagonal.
+
+    >>> from repro.circuits.gates import make_gate
+    >>> ops = [make_gate("h", [0]), make_gate("z", [1])]
+    >>> [(p, a.shape) for p, a in layout_program(ops, [(0, 1, 2), (2,)], 2)]
+    [((0, 1, 2), (2, 2)), (None, (1, 1, 2))]
+    """
+    return [
+        (None, _diag_factor(np.diag(op.matrix()), step, num_local + 1))
+        if op.is_diagonal else (step, op.matrix())
+        for op, step in zip(ops, steps)
+    ]
+
+
+def apply_layout_steps(block: np.ndarray, program) -> np.ndarray:
+    """Run a :func:`layout_program` on a contiguous ``(B,) + (2,)*w``
+    block in its start layout; returns the block in its final layout.
+    Each GEMM's output *is* the next layout: nothing is written back.
+
+    >>> X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    >>> block = np.arange(4, dtype=np.complex128).reshape(1, 2, 2)
+    >>> apply_layout_steps(block, [((1, 0, 2), X)])[:, 0, 0]  # qubit 1 leads
+    array([2.+0.j, 0.+0.j])
+    """
+    for perm, operand in program:
+        if perm is None:
+            block *= operand
+            continue
+        moved = block.transpose(perm)  # no copy when the targets lead
+        block = (operand @ moved.reshape(len(operand), -1)).reshape(moved.shape)
+    return block
 
 
 def apply_gate_reference(
@@ -323,20 +355,19 @@ def split_controls(
 
 def _apply_strided(
     view: np.ndarray,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
+    split: Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray],
     num_local: int,
     lead: int,
     diagonal: bool,
 ) -> None:
     """Strided core: apply over a ``(…batch…,) + (2,)*num_local`` view.
 
-    Controls are peeled off and index the view down to the changed
-    slice; diagonal factors multiply only their non-identity entries.
-    ``lead`` counts leading batch axes (0 for a flat state, 1 for the
-    threaded backend's row blocks).
+    ``split`` is the op's :func:`split_controls` result: controls index
+    the view down to the changed slice; diagonal factors multiply only
+    their non-identity entries.  ``lead`` counts leading batch axes (0
+    for a flat state, 1 for the part sweep's row blocks).
     """
-    controls, targets, sub = split_controls(matrix, qubits)
+    controls, targets, sub = split
     if controls and not targets and not diagonal:
         # Fully-controlled dense op: the active block is a 1x1 phase.
         # Demote one control back to a target so the work stays a GEMM,
@@ -344,7 +375,7 @@ def _apply_strided(
         targets = (controls[-1],)
         controls = controls[:-1]
         sub = np.array(
-            [[1.0, 0.0], [0.0, complex(sub[0, 0])]], dtype=matrix.dtype
+            [[1.0, 0.0], [0.0, complex(sub[0, 0])]], dtype=sub.dtype
         )
     caxes: list = []
     if controls:
@@ -417,7 +448,9 @@ def apply_matrix_strided(
             f"{num_qubits} requires {1 << num_qubits}"
         )
     view = state.reshape((2,) * num_qubits)
-    _apply_strided(view, matrix, qubits, num_qubits, 0, diagonal)
+    _apply_strided(
+        view, split_controls(matrix, qubits), num_qubits, 0, diagonal
+    )
     return state
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "permute_bits",
     "gather_index_table",
     "gather_index_rows",
+    "gather_offsets",
     "QubitLayout",
 ]
 
@@ -130,6 +131,23 @@ def gather_index_rows(
     t_vals = spread_bits(np.arange(lo, hi, dtype=np.int64), outer)
     j_vals = spread_bits(np.arange(1 << w, dtype=np.int64), inner)
     return t_vals[:, None] + j_vals[None, :]
+
+
+def gather_offsets(
+    n: int, inner_qubits: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The gather table factored: row ``t`` of :func:`gather_index_table`
+    is ``outer[t] + inner`` (``2^(n-w)`` and ``2^w`` offsets).
+
+    >>> gather_offsets(3, [1])
+    (array([0, 1, 4, 5]), array([0, 2]))
+    """
+    inner = list(inner_qubits)
+    outer = [q for q in range(n) if q not in set(inner)]
+    return (
+        spread_bits(np.arange(1 << len(outer), dtype=np.int64), outer),
+        spread_bits(np.arange(1 << len(inner), dtype=np.int64), inner),
+    )
 
 
 class QubitLayout:

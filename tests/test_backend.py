@@ -13,7 +13,12 @@ import pytest
 from repro.circuits import generators
 from repro.dist.hisvsim import HiSVSimEngine
 from repro.partition import get_partitioner
-from repro.sv.backend import DEFAULT_MIN_PARALLEL_ELEMENTS
+from repro.sv.backend import (
+    DEFAULT_BLOCK_ELEMENTS,
+    DEFAULT_MIN_PARALLEL_ELEMENTS,
+)
+from repro.sv.fusion import compile_part
+from repro.sv.kernels import apply_matrix_batched
 from repro.sv import (
     ArrayBackend,
     ArrayModule,
@@ -273,6 +278,110 @@ class TestThreadedDeterminism:
         else:
             assert trace.gathered_parts == p.num_parts
         assert np.array_equal(serial, threaded)
+
+
+# ---------------------------------------------------------------------------
+# Cache-blocked part sweep: many blocks per part
+# ---------------------------------------------------------------------------
+
+_blocked: dict = {}
+
+
+def _blocked_case():
+    """``(circuit, partition, flat-simulator state)``, cached: 17 qubits
+    at limit 14, so every part spans several ``DEFAULT_BLOCK_ELEMENTS``
+    blocks of several rows each."""
+    if "case" not in _blocked:
+        qc = random_circuit(17, 60, seed=17)
+        sim = StateVectorSimulator(17)
+        sim.run(qc)
+        partition = get_partitioner("dagP").partition(qc, 14)
+        _blocked["case"] = (qc, partition, sim.state)
+    return _blocked["case"]
+
+
+def _unblocked_sweep(fuse: bool) -> np.ndarray:
+    """Each part as one sweep over its whole gather table: gather every
+    row into one matrix, apply each op in place, scatter back."""
+    if fuse not in _blocked:
+        qc, partition, _ = _blocked_case()
+        state = zero_state(17)
+        for part in partition.parts:
+            plan = compile_part(qc, part.gate_indices, part.qubits, fuse=fuse)
+            table = gather_index_table(17, plan.qubits)
+            rows = state[table]
+            for op in plan.local_ops():
+                apply_matrix_batched(
+                    rows, op.matrix(), op.qubits, len(plan.qubits),
+                    diagonal=op.is_diagonal,
+                )
+            state[table] = rows
+        _blocked[fuse] = state
+    return _blocked[fuse]
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("mode", ["batched", "literal"])
+    @pytest.mark.parametrize("kind", ["serial", "threaded", "array"])
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_matches_reference_and_one_unblocked_sweep(self, fuse, kind, mode):
+        qc, partition, reference = _blocked_case()
+        n = qc.num_qubits
+        # Multi-block coverage: every part's rows span several blocks.
+        assert all(
+            (1 << n) > DEFAULT_BLOCK_ELEMENTS >= 1 << len(p.qubits)
+            for p in partition.parts
+        )
+        state = zero_state(n)
+        trace = ExecutionTrace()
+        backend = (
+            ThreadedBackend(2) if kind == "threaded" else get_backend(kind)
+        )
+        with backend:
+            HierarchicalExecutor(mode=mode, fuse=fuse, backend=backend).run(
+                qc, partition, state, trace=trace
+            )
+        assert float(np.max(np.abs(state - reference))) < 1e-10
+        # Power-of-two blocks split each GEMM's columns at aligned
+        # offsets, and the layout steps only permute them, so blocking
+        # moves no bits relative to the unblocked sweep.
+        assert np.array_equal(state, _unblocked_sweep(fuse))
+        if not fuse and mode == "batched":
+            assert trace.strided_parts > 0  # the strided lane blocks too
+
+    @pytest.mark.parametrize("n", [18, 20])
+    @pytest.mark.parametrize("circuit", ["qft", "random"])
+    def test_serial_equals_threaded_bitwise(self, circuit, n):
+        # With at least `threads` blocks per part, threaded runs serial's
+        # own blocks, so the bits cannot depend on the thread count.
+        if circuit == "qft":
+            qc = generators.build("qft", n)
+        else:
+            qc = random_circuit(n, 24, seed=n)
+        partition = get_partitioner("dagP").partition(qc, n - 3)
+        states = []
+        for backend in (SerialBackend(), ThreadedBackend(2),
+                        ThreadedBackend(4)):
+            state = zero_state(n)
+            with backend:
+                HierarchicalExecutor(backend=backend).run(qc, partition, state)
+            states.append(state)
+        assert np.array_equal(states[0], states[1])
+        assert np.array_equal(states[0], states[2])
+
+    def test_offsets_compose_the_gather_table_and_stay_memoised(self):
+        qc, partition, _ = _blocked_case()
+        part = partition.parts[0]
+        plan = compile_part(qc, part.gate_indices, part.qubits)
+        outer, inner = plan.structure.offsets(17)
+        assert outer.size == 1 << (17 - len(part.qubits))
+        assert inner.size == 1 << len(part.qubits)
+        HierarchicalExecutor().run(qc, partition, zero_state(17))
+        again = plan.structure.offsets(17)
+        assert again[0] is outer and again[1] is inner
+        np.testing.assert_array_equal(
+            plan.gather_table(17), gather_index_table(17, part.qubits)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,18 @@ class TestPlanCache:
             )
         assert len(cache) == 2
 
-    def test_gather_table_cached_per_plan(self):
+    def test_gather_offsets_cached_per_plan(self):
+        # The factored table is memoised; the composed O(2^n) table is
+        # rebuilt on request rather than pinned in the plan cache.
         qc = generators.build("bv", 6)
         plan = compile_part(qc, range(len(qc)), (0, 2, 4), fuse=True)
-        t1 = plan.gather_table(6)
-        assert t1 is plan.gather_table(6)
+        outer, inner = plan.structure.offsets(6)
+        again = plan.structure.offsets(6)
+        assert again[0] is outer and again[1] is inner
         assert plan.gather_table(6).shape == (1 << 3, 1 << 3)
+        np.testing.assert_array_equal(
+            plan.gather_table(6), outer[:, None] + inner[None, :]
+        )
 
 
 class TestDistributedFusion:

@@ -172,7 +172,7 @@ class TestStructuralPlanCache:
                 state, flat_state(qc), atol=1e-10, rtol=0
             )
 
-    def test_gather_tables_shared_across_binds(self):
+    def test_gather_offsets_shared_across_binds(self):
         a, b = sweep_circuits(n=6, jobs=2)
         partition = get_partitioner("dagP").partition(a, default_limit(6))
         cache = PlanCache()
@@ -184,7 +184,10 @@ class TestStructuralPlanCache:
         plan_b = cache.get_or_bind(
             b, part.gate_indices, part.qubits, structural_key=fp
         )
-        assert plan_a.gather_table(6) is plan_b.gather_table(6)
+        assert plan_a.structure is plan_b.structure
+        pairs = zip(plan_a.structure.offsets(6), plan_b.structure.offsets(6))
+        assert all(x is y for x, y in pairs)
+        assert plan_a.structure.layout is plan_b.structure.layout
 
 
 # ---------------------------------------------------------------------------
