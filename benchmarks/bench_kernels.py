@@ -3,7 +3,8 @@
 Not a paper table; these back the Sec. III-A roofline discussion and
 guard against kernel performance regressions (diagonal fast path, batched
 application, gather tables, and the gather-free strided path for small
-fused groups — see docs/backends.md).
+fused groups — see docs/backends.md), plus the job outputs (Pauli
+expectations and sampling) next to a state-copy floor.
 
 Acceptance (``test_strided_vs_gather_speedup``): the strided sweep of a
 single 2-qubit part must beat the gather sweep by
@@ -27,7 +28,8 @@ from repro.sv.kernels import (
     bytes_touched_strided,
 )
 from repro.sv.layout import gather_index_table
-from repro.sv.simulator import random_state
+from repro.sv.pauli import expectations
+from repro.sv.simulator import random_state, sample_counts
 
 N = 18  # 2^18 amplitudes = 4 MB
 
@@ -154,6 +156,23 @@ def test_gather_part_sweep(benchmark):
     plan, state = _single_op_part(N)
     work = state.copy()
     benchmark(lambda: _run_part_serial(plan, work, N, "batched", -1))
+
+
+# Job outputs next to their floor: one read+write sweep (a state copy).
+# The QAOA job observables: a ZZ correlator and a single-qubit X.
+OUTPUT_TERMS = ({2: "Z", N - 3: "Z"}, {N // 2: "X"})
+
+
+def test_state_copy_floor(benchmark, state):
+    benchmark(state.copy)
+
+
+def test_expectations(benchmark, state):
+    benchmark(lambda: expectations(state, OUTPUT_TERMS, N))
+
+
+def test_sample_counts(benchmark, state):
+    benchmark(lambda: sample_counts(state, 4096, seed=1))
 
 
 def test_strided_vs_gather_speedup(save_result):

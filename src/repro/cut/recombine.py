@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..sv.layout import extract_bits, spread_bits
-from ..sv.pauli import PauliTerm, _normalise
+from ..sv.pauli import PauliTerm, _flip, _normalise, _split
 from ..sv.simulator import sample_counts
 from .cutter import CutError, CutPlan
 from .evaluate import FragmentTensor
@@ -388,24 +388,16 @@ def recombine_expectations(
 def _pauli_block(mat: np.ndarray, ops: Dict[int, str]) -> np.ndarray:
     """``M[b', b] = <A(b')| P |A(b)>`` over a fragment's free qubits.
 
-    Same sign/permutation technique as
-    :func:`repro.sv.pauli.pauli_expectation`, applied rowwise.
+    Same axis-flip/sign idiom as :func:`repro.sv.pauli.expectations`,
+    applied rowwise: X/Y reverse the qubit's axis, Z/Y negate its
+    ``bit = 1`` half, and each Y adds a factor ``-i``.
     """
-    size = mat.shape[1]
-    idx = np.arange(size, dtype=np.int64)
-    xmask = 0
-    phase = np.ones(size, dtype=np.complex128)
-    for pos, c in ops.items():
-        bit = (idx >> pos) & 1
-        if c == "Z":
-            phase *= 1.0 - 2.0 * bit
-        elif c == "X":
-            xmask |= 1 << pos
-        else:  # Y
-            xmask |= 1 << pos
-            phase *= -1j * (1.0 - 2.0 * bit)
-    applied = mat[:, idx ^ xmask] * phase[None, :]
-    return mat.conj() @ applied.T
+    flips, signs, num_y = _split(ops)
+    applied = _flip(mat, flips, mat.shape[1].bit_length() - 1).copy()
+    applied = applied.reshape(mat.shape)
+    for pos in signs:
+        applied.reshape(mat.shape[0], -1, 2, 1 << pos)[:, :, 1, :] *= -1
+    return (-1j) ** num_y * (mat.conj() @ applied.T)
 
 
 def quasi_probabilities(

@@ -21,6 +21,7 @@ fusion is pure win).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -598,11 +599,13 @@ class CacheCounters:
 class PlanCache:
     """Bounded cache of :class:`CompiledPartPlan` keyed by part identity.
 
-    Keys include ``id(circuit)``; the entry pins the circuit object so the
-    id cannot be recycled while its plans are alive.  One cache instance
-    may be shared across executors (hierarchical and distributed) and
-    across repeated runs — that sharing is what makes sweeps and shard
-    re-execution pay matrix construction once.
+    Keys include ``id(circuit)``; the entry holds the circuit weakly and
+    goes once it is collected (its weakref callback only queues the key,
+    purged under the lock), so a sweep of fresh circuits retains no bound
+    plans.  One cache instance may be shared across executors
+    (hierarchical and distributed) and across repeated runs — that
+    sharing is what makes sweeps and shard re-execution pay matrix
+    construction once.
 
     The cache is **thread-safe**: concurrent ``get_or_compile`` calls for
     the same part serialise on an internal lock, so a plan is compiled
@@ -637,6 +640,7 @@ class PlanCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.RLock()
+        self._dead: List[tuple] = []  # (key, weakref) of collected circuits
         self.hits = 0
         self.misses = 0
         self.structure_hits = 0
@@ -644,7 +648,41 @@ class PlanCache:
 
     def __len__(self) -> int:
         with self._lock:
+            self._purge()
             return len(self._entries)
+
+    def _purge(self) -> None:
+        """Drop entries of collected circuits (caller holds the lock)."""
+        while self._dead:
+            key, ref = self._dead.pop()
+            if self._entries.get(key, (None,))[0] is ref:
+                del self._entries[key]
+
+    def _live(self, key: tuple, circuit: QuantumCircuit):
+        """The plan memoised for this very circuit, else ``None``."""
+        self._purge()
+        entry = self._entries.get(key)
+        return entry[1] if entry and entry[0]() is circuit else None
+
+    def _lookup(self, key, circuit, counters) -> Optional[CompiledPartPlan]:
+        """:meth:`_live`, counted as a hit or a miss."""
+        plan = self._live(key, circuit)
+        hit = plan is not None
+        if hit:
+            self._entries.move_to_end(key)
+        self.hits += hit
+        self.misses += not hit
+        if counters is not None:
+            counters.hits += hit
+            counters.misses += not hit
+        return plan
+
+    def _store(self, key, circuit: QuantumCircuit, plan) -> None:
+        dead = self._dead  # the callback must not reference the cache
+        pin = weakref.ref(circuit, lambda ref: dead.append((key, ref)))
+        self._entries[key] = (pin, plan)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
@@ -668,16 +706,9 @@ class PlanCache:
             int(max_fused_qubits),
         )
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                if counters is not None:
-                    counters.hits += 1
-                self._entries.move_to_end(key)
-                return entry[1]
-            self.misses += 1
-            if counters is not None:
-                counters.misses += 1
+            plan = self._lookup(key, circuit, counters)
+            if plan is not None:
+                return plan
             plan = compile_part(
                 circuit,
                 gate_indices,
@@ -685,9 +716,7 @@ class PlanCache:
                 fuse=fuse,
                 max_fused_qubits=max_fused_qubits,
             )
-            self._entries[key] = (circuit, plan)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._store(key, circuit, plan)
             return plan
 
     def get_or_bind(
@@ -736,16 +765,9 @@ class PlanCache:
             int(max_fused_qubits),
         )
         with self._lock:
-            entry = self._entries.get(bound_key)
-            if entry is not None:
-                self.hits += 1
-                if counters is not None:
-                    counters.hits += 1
-                self._entries.move_to_end(bound_key)
-                return entry[1]
-            self.misses += 1
-            if counters is not None:
-                counters.misses += 1
+            plan = self._lookup(bound_key, circuit, counters)
+            if plan is not None:
+                return plan
             sentry = self._entries.get(struct_key)
             if sentry is not None:
                 self.structure_hits += 1
@@ -769,12 +791,10 @@ class PlanCache:
             [circuit[g] for g in gate_indices], tuple(gate_indices)
         )
         with self._lock:
-            entry = self._entries.get(bound_key)
-            if entry is not None:
-                return entry[1]
-            self._entries[bound_key] = (circuit, plan)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            live = self._live(bound_key, circuit)
+            if live is not None:
+                return live
+            self._store(bound_key, circuit, plan)
         return plan
 
 

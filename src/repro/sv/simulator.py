@@ -16,6 +16,7 @@ from ..circuits.circuit import QuantumCircuit
 from .backend import ExecutionBackend, resolve_backend
 from .kernels import apply_gate_reference
 from .layout import extract_bits
+from .pauli import pauli_expectation
 
 __all__ = [
     "StateVectorSimulator",
@@ -70,10 +71,17 @@ def sample_counts(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    p = np.abs(np.asarray(state)) ** 2
-    p = p / p.sum()
-    outcomes = rng.choice(p.size, size=shots, p=p)
+    p = np.abs(np.asarray(state))
+    p *= p
+    total = p.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(f"cannot sample a state of squared norm {total}")
+    # Generator.choice(p.size, shots, p=p / total)'s own inverse-CDF draw,
+    # minus validation passes that normalised |psi|^2 cannot fail.
+    cdf = np.cumsum(np.divide(p, total, out=p), out=p)
+    cdf /= cdf[-1]
+    uniform = np.random.default_rng(seed).random(shots)
+    outcomes = cdf.searchsorted(uniform, side="right")
     vals, counts = np.unique(outcomes, return_counts=True)
     return {int(v): int(c) for v, c in zip(vals, counts)}
 
@@ -183,10 +191,8 @@ class StateVectorSimulator:
         return sample_counts(self.state, shots, seed)
 
     def expectation_z(self, qubit: int) -> float:
-        """<Z_qubit> of the current state."""
-        idx = np.arange(self.state.size, dtype=np.int64)
-        signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
-        return float(np.real(np.sum(signs * np.abs(self.state) ** 2)))
+        """<Z_qubit> of the current state (``ValueError`` out of range)."""
+        return pauli_expectation(self.state, {qubit: "Z"}, self.num_qubits)
 
     def fidelity(self, other: np.ndarray) -> float:
         """|<self|other>|^2 against another state vector."""

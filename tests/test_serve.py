@@ -10,8 +10,11 @@ the manifest / CLI surface.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +158,100 @@ class TestStructuralPlanCache:
         plan2 = cache.get_or_bind(*args, structural_key=fp)
         assert plan1 is plan2
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_collected_circuits_leave_only_structures(self):
+        """Bound plans of a sweep's fresh circuits are not retained: once
+        the circuits are collected only the structure entries remain."""
+        circuits = sweep_circuits(n=6, jobs=50)
+        partition = get_partitioner("dagP").partition(
+            circuits[0], default_limit(6)
+        )
+        fp = circuit_fingerprint(circuits[0])
+        cache = PlanCache()
+        for qc in circuits:
+            for part in partition.parts:
+                cache.get_or_bind(
+                    qc, part.gate_indices, part.qubits, structural_key=fp
+                )
+        parts = partition.num_parts
+        assert len(cache) == 51 * parts
+        assert cache.misses == 50 * parts and cache.hits == 0
+        assert cache.structure_misses == parts
+        assert cache.structure_hits == 49 * parts
+        del circuits, qc
+        gc.collect()
+        assert len(cache) == parts
+        assert all(key[0] == "struct" for key in cache._entries)
+
+    def test_collected_circuit_drops_compiled_plan(self):
+        (qc,) = sweep_circuits(n=6, jobs=1)
+        cache = PlanCache()
+        cache.get_or_compile(qc, range(len(qc)), range(6))
+        assert len(cache) == 1
+        with cache._lock:  # a collection inside a locked section only
+            del qc  # queues the key; the dict is not touched
+            gc.collect()
+            assert len(cache._entries) == 1 and len(cache._dead) == 1
+        assert len(cache) == 0
+
+    def test_concurrent_binds_with_collections(self):
+        """Four threads bind fresh circuits while collections fire mid
+        lookup: no error, every call counted, only structures remain."""
+        base = sweep_circuits(n=6, jobs=1)[0]
+        partition = get_partitioner("dagP").partition(base, default_limit(6))
+        fp = circuit_fingerprint(base)
+        cache, errors = PlanCache(), []
+
+        def worker(seed):
+            try:
+                for k in range(8):
+                    (qc,) = sweep_circuits(n=6, jobs=1)
+                    for part in partition.parts:
+                        args = (qc, part.gate_indices, part.qubits)
+                        key = {"structural_key": fp}
+                        plan = cache.get_or_bind(*args, **key)
+                        assert cache.get_or_bind(*args, **key) is plan
+                    del qc
+                    if (k + seed) % 3 == 0:
+                        gc.collect()
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(s,)) for s in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        calls = 4 * 8 * partition.num_parts
+        assert cache.hits == calls and cache.misses == calls
+        gc.collect()
+        assert len(cache) == partition.num_parts
+
+    def test_dead_entry_is_a_miss_and_survives_late_purge(self):
+        """A dead entry under a recycled id must not serve the new circuit,
+        and purging the old circuit's key must not drop the new entry."""
+        a, b = sweep_circuits(n=6, jobs=2)
+        cache = PlanCache()
+        plan_a = cache.get_or_compile(a, range(len(a)), range(6))
+        ((key, entry),) = cache._entries.items()
+        # Re-key a's entry as if b had inherited a's id before the purge.
+        recycled = (id(b),) + key[1:]
+        cache._entries[recycled] = cache._entries.pop(key)
+        plan_b = cache.get_or_compile(b, range(len(b)), range(6))
+        assert plan_b is not plan_a
+        assert cache.misses == 2 and cache.hits == 0
+        cache._dead.append((recycled, entry[0]))  # a's callback, late
+        assert cache.get_or_compile(b, range(len(b)), range(6)) is plan_b
+        assert cache.hits == 1
 
     def test_structural_key_execution_is_correct_per_job(self):
         """The stale-matrix trap: same structure, different angles must

@@ -1,10 +1,17 @@
 """Flat StateVectorSimulator tests (incl. measurement utilities)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.sv.simulator import StateVectorSimulator, random_state, zero_state
+from repro.sv.simulator import (
+    StateVectorSimulator,
+    random_state,
+    sample_counts,
+    zero_state,
+)
 
 
 class TestStates:
@@ -119,6 +126,38 @@ class TestMeasurement:
         qc2.h(0)
         sim.run(qc2)
         assert np.isclose(sim.expectation_z(0), 0.0, atol=1e-10)
+
+    def test_expectation_z_out_of_range_raises(self):
+        sim = StateVectorSimulator(3)
+        for qubit in (7, 3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                sim.expectation_z(qubit)
+
+    @pytest.mark.parametrize("peaked", [False, True])
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_sample_counts_equal_generator_choice(self, n, peaked):
+        """The inlined inverse-CDF draw is Generator.choice's, bit for bit."""
+        for seed in range(12):
+            state = random_state(n, seed=seed)
+            if peaked:
+                state = state ** 8
+                state /= np.linalg.norm(state)
+            p = np.abs(state) ** 2
+            p = p / p.sum()
+            draws = np.random.default_rng(seed).choice(p.size, size=300, p=p)
+            vals, counts = np.unique(draws, return_counts=True)
+            assert sample_counts(state, 300, seed) == dict(
+                zip(vals.tolist(), counts.tolist())
+            )
+
+    @pytest.mark.parametrize(
+        "state", [np.zeros(4, complex), np.array([np.nan, 1, 0, 0], complex)]
+    )
+    def test_sample_zero_or_nan_state_raises_without_warning(self, state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared norm"):
+                sample_counts(state, 10)
 
     def test_fidelity(self):
         sim = StateVectorSimulator(2)
