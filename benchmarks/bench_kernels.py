@@ -3,8 +3,9 @@
 Not a paper table; these back the Sec. III-A roofline discussion and
 guard against kernel performance regressions (diagonal fast path, batched
 application, gather tables, and the gather-free strided path for small
-fused groups — see docs/backends.md), plus the job outputs (Pauli
-expectations and sampling) next to a state-copy floor.
+fused groups — see docs/backends.md), the part sweep's dense and
+diagonal layout steps next to a block-copy floor, plus the job outputs
+(Pauli expectations and sampling) next to a state-copy floor.
 
 Acceptance (``test_strided_vs_gather_speedup``): the strided sweep of a
 single 2-qubit part must beat the gather sweep by
@@ -20,12 +21,14 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import make_gate
 from repro.sv.backend import _run_part_serial
-from repro.sv.fusion import compile_part
+from repro.sv.fusion import FusedGate, compile_part, layout_steps
 from repro.sv.kernels import (
     apply_gate,
     apply_gate_batched,
+    apply_layout_steps,
     bytes_touched_gather_part,
     bytes_touched_strided,
+    layout_program,
 )
 from repro.sv.layout import gather_index_table
 from repro.sv.pauli import expectations
@@ -86,6 +89,56 @@ def measure_strided_vs_gather(n: int, repeats: int = 5):
     }
 
 
+#: A 2^17-amplitude block (8 rows of a 14-qubit part) and the 5
+#: scattered targets of its dense and of its diagonal layout step.
+STEP_WIDTH, STEP_ROWS = 14, 8
+DENSE_TARGETS, DIAG_TARGETS = (1, 4, 7, 10, 13), (0, 3, 6, 9, 12)
+
+
+def layout_step_cases():
+    """``{label: (block, program)}`` for one dense and one diagonal
+    5-target layout step on the 2^17 block, plus a ``copy`` floor (an
+    empty program on a block copy).  The diagonal step sees the layout
+    the dense step leaves, as in a fused qft part."""
+    w, k = STEP_WIDTH, len(DENSE_TARGETS)
+    rng = np.random.default_rng(3)
+    dense = FusedGate(DENSE_TARGETS, np.linalg.qr(
+        rng.standard_normal((1 << k, 1 << k))
+        + 1j * rng.standard_normal((1 << k, 1 << k))
+    )[0], False)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << k))
+    diag = FusedGate(DIAG_TARGETS, np.diag(phases), True)
+    ops = [dense, diag]
+    layout = layout_steps(ops, range(w))
+    program = layout_program(ops, layout, w)
+    shape = [STEP_ROWS if a == w else 2 for a in layout[0]]
+    block = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    after_dense = apply_layout_steps(block.copy(), program[:1])
+    return {
+        "dense": (block, program[:1]),
+        "diagonal": (after_dense, program[1:]),
+        "copy": (block, []),
+    }
+
+
+def measure_layout_steps(repeats: int = 5):
+    """Best-of wall time (s) of each :func:`layout_step_cases` entry; the
+    ``copy`` floor times ``block.copy()`` alone."""
+    from repro import bench
+
+    times = {}
+    for label, (block, program) in layout_step_cases().items():
+        stats, _ = bench.measure(
+            lambda: apply_layout_steps(block.copy(), program),
+            repeats=repeats,
+            warmup=1,
+        )
+        times[label] = stats.min
+    return times
+
+
 @pytest.fixture(scope="module")
 def state():
     return random_state(N, seed=0)
@@ -144,6 +197,12 @@ def test_gather_scatter_roundtrip(benchmark, state):
         work[table] = inner
 
     benchmark(roundtrip)
+
+
+@pytest.mark.parametrize("label", ["dense", "diagonal", "copy"])
+def test_layout_step(benchmark, label):
+    block, program = layout_step_cases()[label]
+    benchmark(lambda: apply_layout_steps(block.copy(), program))
 
 
 def test_strided_part_sweep(benchmark):
@@ -217,7 +276,8 @@ from repro import bench
 )
 def run_bench(params):
     """Kernel sweep micro-benchmark: the six reference gate applications
-    plus gather-table construction, and strided-vs-gather part sweeps.
+    plus gather-table construction, strided-vs-gather part sweeps, and
+    the dense and diagonal layout steps on a 2^17 block (``info``).
 
     The strided byte counts and bitwise agreement are deterministic and
     gated by the perf compare; measured speedups are host-dependent and
@@ -241,6 +301,7 @@ def run_bench(params):
     norm = float(np.vdot(work, work).real)
     norm_preserved = abs(norm - 1.0) < 1e-9
     strided = measure_strided_vs_gather(n, repeats=3)
+    steps = measure_layout_steps(repeats=3)
     return bench.payload(
         metrics={
             "qubits": n,
@@ -257,6 +318,11 @@ def run_bench(params):
             "strided_s": strided["strided_s"],
             "gather_s": strided["gather_s"],
             "strided_speedup": strided["speedup"],
+            # One 2^17-amplitude block, 5 scattered targets; timings
+            # include the block copy (``step_copy_s`` alone).
+            "step_dense_s": steps["dense"],
+            "step_diagonal_s": steps["diagonal"],
+            "step_copy_s": steps["copy"],
         },
         ok=norm_preserved and strided["bit_identical"]
         and strided["strided_bytes"] < strided["gather_bytes"],

@@ -285,8 +285,9 @@ def _part_sweep(
 
     w = len(plan.qubits)
     outer, inner = plan.structure.offsets(num_qubits)
-    start, steps, final = plan.structure.layout
-    program = layout_program(plan.local_ops(), steps, w)
+    layout = plan.structure.layout
+    program = layout_program(plan.local_ops(), layout, w)
+    start, _, final = layout
     # A block's index is one broadcast add of its outer offsets onto the
     # inner offsets laid out like the block (axis labels as in
     # layout_steps); the final layout folds into the scatter index.

@@ -11,11 +11,15 @@ benchmark reruns — pays matrix construction a single time.
 Grouping is dependency-respecting by construction: gate ``g`` may only
 join a group at or after the last group touching any of ``g``'s qubits,
 so any pair of gates whose relative order changes acts on disjoint
-qubits and commutes.  It is diagonal-aware twice over: a group whose
-members are all diagonal stays on the copy-free broadcast kernel, and
-all-diagonal groups may grow to ``max_diag_qubits`` (diagonal products
-cost one multiply per amplitude regardless of arity, so wider diagonal
-fusion is pure win).
+qubits and commutes.  It is diagonal-aware twice over: groups whose
+members are all diagonal may grow to ``max_diag_qubits`` (diagonal
+products cost one multiply per amplitude regardless of arity, so wider
+diagonal fusion is pure win), and a group is marked diagonal — run by
+the elementwise kernels instead of a GEMM — when its product is diagonal
+for every parameter value.  That holds when each member is diagonal or a
+parameter-free basis permutation (``x``, ``cx``, ``swap``, …) and the
+permutations compose to the identity, as in qft's ``cx·u1·cx`` phase
+ladders; it is decided from gate names and operands alone.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate
+from ..circuits.gates import GATE_DEFS, Gate
 from .kernels import apply_matrix_batched
 from .layout import extract_bits, gather_offsets
 
@@ -57,9 +62,10 @@ DIAGONAL_BONUS_QUBITS = 2
 class FusionGroup:
     """One fusion group: member positions (in the source gate list, in
     original order), the union working set in first-seen operand order,
-    whether every member is diagonal, and whether every member is
-    Clifford (detected from ``GateDef.clifford`` — the group-level
-    capability the executor routes engines on).
+    whether the group's product is diagonal for every parameter value
+    (structurally diagonal — see :func:`plan_fusion_groups`), and
+    whether every member is Clifford (detected from ``GateDef.clifford``
+    — the group-level capability the executor routes engines on).
 
     >>> FusionGroup(members=(0, 2), qubits=(1, 3), diagonal=False).qubits
     (1, 3)
@@ -69,6 +75,69 @@ class FusionGroup:
     qubits: Tuple[int, ...]
     diagonal: bool
     clifford: bool = False
+
+
+@lru_cache(maxsize=None)
+def _affine_action(
+    name: str,
+) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+    """A gate's basis permutation as a GF(2)-affine map: ``()`` for a
+    diagonal gate (nothing moves), ``None`` if it is not one
+    (parameterised or non-monomial gates, and nonlinear permutations
+    such as ``ccx``).
+
+    Derived once per name from the gate's fixed matrix: a monomial
+    matrix sends basis state ``j`` to ``p(j)`` up to a phase.  Output
+    bit ``i`` (operand ``i``) is ``const`` XOR the input bits of the
+    operands in ``sources``, given as one ``(const, sources)`` pair per
+    operand.
+
+    >>> _affine_action("cx")        # control unchanged, target ^= control
+    ((0, (0,)), (0, (0, 1)))
+    >>> _affine_action("x"), _affine_action("rz"), _affine_action("ccx")
+    (((1, (0,)),), (), None)
+    """
+    gdef = GATE_DEFS[name]
+    if gdef.diagonal:
+        return ()
+    if gdef.num_params:
+        return None
+    nonzero = gdef.factory() != 0
+    if not (nonzero.sum(axis=0) == 1).all() or not (
+        nonzero.sum(axis=1) == 1
+    ).all():
+        return None
+    perm = nonzero.argmax(axis=0)  # column j holds its one entry in row p(j)
+    k = gdef.num_qubits
+    const = int(perm[0])
+    cols = [int(perm[1 << b]) ^ const for b in range(k)]
+    for j, image in enumerate(perm):
+        expect = const
+        for b in range(k):
+            if j >> b & 1:
+                expect ^= cols[b]
+        if image != expect:
+            return None
+    return tuple(
+        (const >> i & 1, tuple(b for b in range(k) if cols[b] >> i & 1))
+        for i in range(k)
+    )
+
+
+def _composes_to_identity(moves) -> bool:
+    """True when the ``(qubits, action)`` permutations, applied in
+    order, compose to the identity.  Each qubit's bit is tracked as one
+    int: bit 0 the constant, bit ``q + 1`` set if input qubit ``q``
+    contributes (so XOR composes both); untouched qubit ``q`` is
+    ``2 << q``."""
+    bits: Dict[int, int] = {}
+    for qubits, action in moves:
+        old = [bits.get(q, 2 << q) for q in qubits]
+        for q, (value, sources) in zip(qubits, action):
+            for b in sources:
+                value ^= old[b]
+            bits[q] = value
+    return all(v == 2 << q for q, v in bits.items())
 
 
 def plan_fusion_groups(
@@ -82,12 +151,21 @@ def plan_fusion_groups(
     placed in any group at or after the last group that touches one of
     ``g``'s qubits.  Groups are emitted in creation order with members in
     source order, which reproduces the original gate order up to swaps of
-    disjoint (hence commuting) gates.
+    disjoint (hence commuting) gates.  Only groups whose members are all
+    diagonal may grow to ``max_diag_qubits``.
+
+    A group is marked ``diagonal`` when its product is diagonal for every
+    parameter value: each member is diagonal or a parameter-free basis
+    permutation, and the permutations (tracked as a GF(2)-affine map over
+    the group's qubits) compose to the identity.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(3).h(0).cx(0, 1).h(2)
     >>> [g.members for g in plan_fusion_groups(qc.gates, 2)]  # h(2) overflows
     [(0, 1), (2,)]
+    >>> ladder = QuantumCircuit(2).cx(0, 1).u1(0.3, 1).cx(0, 1)
+    >>> [g.diagonal for g in plan_fusion_groups(ladder.gates, 2)]
+    [True]
     """
     if max_fused_qubits < 1:
         raise ValueError("max_fused_qubits must be >= 1")
@@ -101,6 +179,9 @@ def plan_fusion_groups(
     qubit_sets: List[set] = []
     all_diag: List[bool] = []
     all_cliff: List[bool] = []
+    # Each group's permutation members as (qubits, action); None once a
+    # member is neither diagonal nor an affine permutation.
+    moves: List[Optional[list]] = []
     last_group_of: Dict[int, int] = {}
 
     for i, g in enumerate(gates):
@@ -127,6 +208,7 @@ def plan_fusion_groups(
             qubit_sets.append(set())
             all_diag.append(True)
             all_cliff.append(True)
+            moves.append([])
             placed = len(members) - 1
         members[placed].append(i)
         for q in g.qubits:
@@ -136,10 +218,18 @@ def plan_fusion_groups(
             last_group_of[q] = placed
         all_diag[placed] = all_diag[placed] and g.is_diagonal
         all_cliff[placed] = all_cliff[placed] and g.is_clifford
+        if moves[placed] is not None:
+            action = _affine_action(g.name)
+            if action is None:
+                moves[placed] = None
+            elif action:
+                moves[placed].append((g.qubits, action))
 
     return [
-        FusionGroup(tuple(m), tuple(qs), d, c)
-        for m, qs, d, c in zip(members, qubit_order, all_diag, all_cliff)
+        FusionGroup(
+            tuple(m), tuple(qs), mv is not None and _composes_to_identity(mv), c
+        )
+        for m, qs, mv, c in zip(members, qubit_order, moves, all_cliff)
     ]
 
 
@@ -203,8 +293,8 @@ class FusedGate:
         return out
 
     # Explicit pickle support: ``__slots__`` classes need it spelled out,
-    # and the restored matrix must come back read-only (the process
-    # backend ships ops to worker processes by pickle).
+    # and the restored matrix must come back read-only (compiled plans
+    # may be pickled and reloaded like any other object).
     def __getstate__(self):
         return (self.qubits, self.diagonal, self.source_indices, self._matrix)
 
@@ -228,14 +318,15 @@ class FusedGate:
 def _group_matrix(gates: Sequence[Gate], group: FusionGroup) -> np.ndarray:
     """Product matrix of a group over its qubit tuple (first operand =
     least significant bit of the local index, matching the Gate
-    convention)."""
+    convention).  Raises ``ValueError`` if a group marked diagonal has a
+    nonzero off-diagonal entry, so a wrong flag never runs."""
     k = len(group.qubits)
     pos = {q: i for i, q in enumerate(group.qubits)}
     if len(group.members) == 1:
         g = gates[group.members[0]]
-        if g.qubits == group.qubits:
+        if g.qubits == group.qubits and g.is_diagonal == group.diagonal:
             return g.matrix()
-    if group.diagonal:
+    if all(gates[m].is_diagonal for m in group.members):
         diag = np.ones(1 << k, dtype=np.complex128)
         idx = np.arange(1 << k, dtype=np.int64)
         for m in group.members:
@@ -256,7 +347,15 @@ def _group_matrix(gates: Sequence[Gate], group: FusionGroup) -> np.ndarray:
             k,
             diagonal=g.is_diagonal,
         )
-    return np.ascontiguousarray(cols.T)
+    product = np.ascontiguousarray(cols.T)
+    if group.diagonal and np.count_nonzero(product) != np.count_nonzero(
+        product.diagonal()
+    ):
+        raise ValueError(
+            f"group {group.members} is marked diagonal but its product "
+            f"has nonzero off-diagonal entries"
+        )
+    return product
 
 
 def layout_steps(ops, qubits: Sequence[int]):

@@ -11,7 +11,9 @@ Two interchangeable engines:
   access-pattern source for the cache model.
 
 :func:`apply_layout_steps` runs a part's ops on a gathered row block,
-each GEMM writing a fresh buffer in its op's axis order (no write-back).
+each GEMM writing a fresh buffer in its op's axis order (no write-back)
+and each diagonal op multiplying in place through a contiguous factor
+table (:func:`layout_program`).
 The gather-free strided lane (:func:`apply_matrix_strided`, eligibility
 ``REPRO_KERNEL_STRIDED_MAX`` via :func:`strided_max_qubits`) applies a
 unitary to the flat state through bit-strided views, with
@@ -191,26 +193,67 @@ def apply_gate_batched(
     )
 
 
-def layout_program(ops, steps, num_local: int) -> list:
-    """Pair ops with their :func:`~repro.sv.fusion.layout_steps` steps:
-    ``(perm, matrix)`` if dense, ``(None, factor)`` if diagonal.
+#: A diagonal step's table spans at most this many trailing block axes
+#: (its contiguous inner loop) and at most ``2^_DIAG_TABLE_AXES``
+#: elements (128 KiB of complex128) in all.
+_DIAG_SPAN_AXES = 8
+_DIAG_TABLE_AXES = 13
+
+
+def _diag_table(diag: np.ndarray, axes: Sequence[int], row: int, ndim: int):
+    """:func:`_diag_factor` materialised over the trailing axes after the
+    row axis ``row`` of an ``ndim``-axis block, so multiplying a block by
+    it runs contiguous inner loops however scattered the targets are.
+    Each product is the same ``block * factor`` as the broadcast one.
+    With no target among those axes the factor itself already broadcasts
+    over a contiguous run and is returned as is.
+
+    >>> _diag_table(np.array([1, -1]), (3,), 1, 4).shape  # (2, B, 2, 2) block
+    (1, 1, 2, 2)
+    >>> _diag_table(np.array([1, -1]), (0,), 1, 4).shape  # target leads
+    (2, 1, 1, 1)
+    """
+    fac = _diag_factor(diag, axes, ndim)
+    span = min(_DIAG_SPAN_AXES, ndim - 1 - row)
+    if all(a < ndim - span for a in axes):
+        return fac  # broadcast trailing axes already run contiguously
+    while span + sum(a < ndim - span for a in axes) > _DIAG_TABLE_AXES:
+        span -= 1
+    shape = fac.shape[: ndim - span] + (2,) * span
+    return np.ascontiguousarray(np.broadcast_to(fac, shape))
+
+
+def layout_program(ops, layout, num_local: int) -> list:
+    """Pair ops with the steps of their :func:`~repro.sv.fusion.layout_steps`
+    ``layout``: ``(perm, matrix)`` if dense, ``(None, table)`` if diagonal,
+    where ``table`` is the op's :func:`_diag_table` at the row axis's
+    position in that step's layout.
 
     >>> from repro.circuits.gates import make_gate
     >>> ops = [make_gate("h", [0]), make_gate("z", [1])]
-    >>> [(p, a.shape) for p, a in layout_program(ops, [(0, 1, 2), (2,)], 2)]
+    >>> layout = ((0, 2, 1), ((0, 1, 2), (2,)), (0, 2, 1))
+    >>> [(p, a.shape) for p, a in layout_program(ops, layout, 2)]
     [((0, 1, 2), (2, 2)), (None, (1, 1, 2))]
     """
-    return [
-        (None, _diag_factor(np.diag(op.matrix()), step, num_local + 1))
-        if op.is_diagonal else (step, op.matrix())
-        for op, step in zip(ops, steps)
-    ]
+    cur, steps, _ = layout
+    program = []
+    for op, step in zip(ops, steps):
+        if op.is_diagonal:
+            table = _diag_table(
+                np.diag(op.matrix()), step, cur.index(num_local), num_local + 1
+            )
+            program.append((None, table))
+        else:
+            program.append((step, op.matrix()))
+            cur = tuple(cur[a] for a in step)
+    return program
 
 
 def apply_layout_steps(block: np.ndarray, program) -> np.ndarray:
     """Run a :func:`layout_program` on a contiguous ``(B,) + (2,)*w``
     block in its start layout; returns the block in its final layout.
     Each GEMM's output *is* the next layout: nothing is written back.
+    Diagonal steps multiply the block in place.
 
     >>> X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     >>> block = np.arange(4, dtype=np.complex128).reshape(1, 2, 2)

@@ -25,17 +25,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
 from repro.partition import get_partitioner
+from repro.partition.metrics import evaluate_partition
+from repro.serve.runner import default_limit
 from repro.sv import (
     ArrayBackend,
     ArrayModule,
     ExecutionTrace,
     HierarchicalExecutor,
     SerialBackend,
+    StateVectorSimulator,
     ThreadedBackend,
     apply_gate_reference,
 )
+from repro.sv.simulator import zero_state
 
 from conftest import random_circuit
 
@@ -186,3 +191,52 @@ def test_grid_is_complete():
         for p in _case_params()
     }
     assert swept == combos
+
+
+# Fused ops per circuit (dagP at ``default_limit``) and qft's modelled
+# fused flops under the rule that only flagged a group diagonal when
+# every member was; structural diagonality must not change the grouping.
+LADDER_OPS = {
+    ("qft", 14): 25, ("qft", 17): 37, ("qft", 20): 45,
+    ("qpe", 14): 24, ("qpe", 17): 39, ("qpe", 20): 51,
+}
+MEMBER_RULE_FLOPS = {
+    ("qft", 14): 86212608, ("qft", 17): 1013710848,
+    ("qft", 20): 11347689472,
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(LADDER_OPS))
+def test_phase_ladders_on_every_lane(backends, name, n):
+    """qft/qpe run their cx·u1·cx ladders as diagonal ops on the serial,
+    ``threaded[2]`` and array-device lanes, in both modes: each state is
+    within 1e-10 of the flat simulator (on the undecomposed circuit, whose
+    cu1 gates it runs as diagonals), serial and threaded agree bitwise,
+    and the grouping is unchanged."""
+    qc = generators.build(name, n)
+    partition = get_partitioner("dagP").partition(qc, default_limit(n))
+    sim = StateVectorSimulator(n)
+    sim.run(generators.build(name, n, decompose=False))
+    lanes = {
+        "serial": backends["serial"],
+        "threaded": ThreadedBackend(2),
+        "array-device": backends["array-device"],
+    }
+    with lanes["threaded"]:
+        for mode in MODES:
+            states = {}
+            for lane, backend in lanes.items():
+                trace = ExecutionTrace()
+                state = HierarchicalExecutor(mode=mode, backend=backend).run(
+                    qc, partition, zero_state(n), trace=trace
+                )
+                err = float(np.max(np.abs(state - sim.state)))
+                assert err < 1e-10, (lane, mode, err)
+                assert sum(trace.part_ops) == LADDER_OPS[name, n]
+                assert trace.sweeps_saved == len(qc) - LADDER_OPS[name, n]
+                states[lane] = state
+            assert np.array_equal(states["serial"], states["threaded"]), mode
+    metrics = evaluate_partition(qc, partition)
+    assert metrics.sweeps_fused == LADDER_OPS[name, n]
+    if name == "qft":
+        assert metrics.flops_fused < MEMBER_RULE_FLOPS[name, n]

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators
-from repro.circuits.gates import make_gate
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import GATE_DEFS, make_gate
 from repro.partition import get_partitioner
 from repro.sv.fusion import (
     CompiledPartPlan,
     FusedGate,
+    FusionGroup,
+    PartPlanStructure,
     PlanCache,
+    build_part_structure,
     compile_part,
     compile_partition,
     plan_fusion_groups,
@@ -78,6 +82,153 @@ class TestGroupPlanner:
             plan_fusion_groups([], 0)
         with pytest.raises(ValueError):
             plan_fusion_groups([], 3, 2)
+
+
+#: Permutation, diagonal and dense gates for the structural-diagonal tests.
+STRUCTURAL_VOCAB = (
+    "x", "y", "cx", "cy", "cz", "swap", "ccx", "u1", "rz", "rzz", "h", "rx",
+)
+
+
+def _with_params(names_qubits, rng):
+    """Gates of a fixed structure with freshly drawn parameters."""
+    return [
+        make_gate(
+            name,
+            qubits,
+            tuple(rng.uniform(-np.pi, np.pi, GATE_DEFS[name].num_params)),
+        )
+        for name, qubits in names_qubits
+    ]
+
+
+@st.composite
+def _structures(draw):
+    """A random gate structure (names + operands) over up to 7 qubits and
+    a fusion cap.  Some gates come as sandwiches ``P · (1-3 gates) · P``
+    of a gate ``P`` (the middle often all diagonal), so that permutation
+    ladders composing to the identity, and near misses, are common."""
+    n = draw(st.integers(1, 7))
+    names = [v for v in STRUCTURAL_VOCAB if GATE_DEFS[v].num_qubits <= n]
+
+    diagonal = [v for v in names if GATE_DEFS[v].diagonal]
+
+    def gate(pool):
+        name = draw(st.sampled_from(pool))
+        k = GATE_DEFS[name].num_qubits
+        return name, tuple(draw(st.permutations(range(n)))[:k])
+
+    structure = []
+    for _ in range(draw(st.integers(1, 12))):
+        outer = gate(names)
+        if draw(st.booleans()):
+            structure.append(outer)
+            continue
+        pool = draw(st.sampled_from((names, diagonal)))
+        inner = [gate(pool) for _ in range(draw(st.integers(1, 3)))]
+        structure += [outer] + inner + [outer]
+    return n, structure, draw(st.integers(1, 5))
+
+
+def _off_diagonal_nonzeros(matrix):
+    return int(np.count_nonzero(matrix - np.diag(np.diag(matrix))))
+
+
+class TestStructuralDiagonal:
+    @settings(max_examples=120, deadline=None)
+    @given(case=_structures(), seed=st.integers(0, 2**32 - 1))
+    def test_flagged_groups_are_diagonal_for_any_parameters(self, case, seed):
+        n, structure, cap = case
+        rng = np.random.default_rng(seed)
+        draws = [_with_params(structure, rng) for _ in range(2)]
+        circuits = [QuantumCircuit(n), QuantumCircuit(n)]
+        for qc, gates in zip(circuits, draws):
+            for g in gates:
+                qc.append(g)
+        s, again = (
+            build_part_structure(
+                qc, range(len(qc)), range(n), max_fused_qubits=cap
+            )
+            for qc in circuits
+        )
+        # Flags come from names and operands only.
+        assert again.groups == s.groups
+        for gates in draws:
+            plan = s.bind(gates)
+            # Every bind carries the structure's flags.
+            assert [op.is_diagonal for op in plan.ops] == [
+                g.diagonal for g in s.groups
+            ]
+            for op in plan.ops:
+                if op.is_diagonal:
+                    assert _off_diagonal_nonzeros(op.matrix()) == 0
+        for grp in s.groups:
+            # The member-diagonal groups of the old rule stay flagged.
+            if all(draws[0][m].is_diagonal for m in grp.members):
+                assert grp.diagonal
+
+    @pytest.mark.parametrize(
+        "gates,diagonal",
+        [
+            ([("cx", (0, 1)), ("u1", (1,)), ("cx", (0, 1))], True),
+            ([("cx", (0, 1)), ("rz", (1,)), ("cx", (0, 1))], True),
+            ([("x", (0,)), ("x", (0,))], True),
+            ([("swap", (0, 1)), ("swap", (1, 0))], True),
+            ([("h", (0,)), ("u1", (0,)), ("h", (0,))], False),
+            ([("rx", (0,)), ("rz", (0,))], False),
+            ([("cx", (0, 1)), ("u1", (1,)), ("cx", (1, 0))], False),
+            # ccx is a nonlinear permutation: conservatively not tracked.
+            ([("ccx", (0, 1, 2)), ("ccx", (0, 1, 2))], False),
+        ],
+        ids=[
+            "cx-u1-cx", "cx-rz-cx", "x-x", "swap-swap",
+            "h-u1-h", "rx-rz", "cx-u1-reversed-cx", "ccx-ccx",
+        ],
+    )
+    def test_named_groups(self, gates, diagonal):
+        bound = _with_params(gates, np.random.default_rng(0))
+        (group,) = plan_fusion_groups(bound, 3)
+        assert group.diagonal is diagonal
+        k = len(group.qubits)
+        assert group.qubits == tuple(range(k))
+        qc = QuantumCircuit(k)
+        for g in bound:
+            qc.append(g)
+        (op,) = compile_part(qc, range(len(qc)), range(k)).ops
+        assert op.is_diagonal is diagonal
+        product = _dense_product(bound, k)
+        assert np.allclose(op.matrix(), product, atol=1e-12)
+        if diagonal:
+            assert _off_diagonal_nonzeros(product) == 0
+
+    def test_qft_ladders_flagged_beyond_all_diagonal_members(self):
+        qc = generators.build("qft", 8)
+        groups = plan_fusion_groups(list(qc), 5)
+        assert sum(g.diagonal for g in groups) > sum(
+            all(qc[m].is_diagonal for m in g.members) for g in groups
+        )
+
+    def test_bind_rejects_a_wrong_diagonal_flag(self):
+        qc = QuantumCircuit(2).h(0).cx(0, 1).u1(0.4, 1)
+        wrong = PartPlanStructure(
+            (0, 1), (FusionGroup((0, 1, 2), (0, 1), True),), 3, True, 5
+        )
+        with pytest.raises(ValueError, match="marked diagonal"):
+            wrong.bind(qc.gates)
+        single = PartPlanStructure(
+            (0,), (FusionGroup((0,), (0,), True),), 1, True, 5
+        )
+        with pytest.raises(ValueError, match="marked diagonal"):
+            single.bind(QuantumCircuit(1).h(0).gates)
+
+
+def _dense_product(gates, n):
+    """Dense product of ``gates`` on ``n`` qubits via the flat kernels."""
+    cols = np.eye(1 << n, dtype=np.complex128)
+    for col in cols:
+        for g in gates:
+            apply_matrix(col, g.matrix(), g.qubits, n)
+    return cols.T
 
 
 class TestFusedGate:

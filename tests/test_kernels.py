@@ -227,7 +227,41 @@ def test_property_layout_steps_match_sequential_batched(case):
     tensor = block.reshape((rows,) + (2,) * w)  # labels (w, w-1, ..., 0)
     got = apply_layout_steps(
         np.ascontiguousarray(tensor.transpose([w - a for a in start])),
-        layout_program(ops, steps, w),
+        layout_program(ops, (start, steps, final), w),
     )
     canonical = got.transpose(np.argsort([w - a for a in final]))
     assert np.array_equal(canonical.reshape(rows, 1 << w), expected)
+
+
+@pytest.mark.parametrize("w", range(1, 18))
+def test_diagonal_step_bitwise_equals_broadcast_multiply(w):
+    """A layout program's diagonal step (its factor pre-broadcast over the
+    trailing axes after the row axis) gives the same bits as
+    ``apply_matrix_batched(..., diagonal=True)``, with the row axis at
+    every position of the block and 1-row (``literal``) or multi-row
+    blocks; at w=8 the 256-row block is the sweep's own."""
+    rng = np.random.default_rng(w)
+    k = min(w, 7)
+    qubits = tuple(int(q) for q in rng.permutation(w)[:k])
+    diag = np.exp(1j * rng.uniform(-np.pi, np.pi, 1 << k))
+    op = FusedGate(qubits, np.diag(diag), True)
+    for rows in (1, 1 << max(1, 16 - w)):
+        block = rng.standard_normal((rows, 1 << w)) + 1j * rng.standard_normal(
+            (rows, 1 << w)
+        )
+        expected = apply_matrix_batched(
+            block.copy(), op.matrix(), qubits, w, diagonal=True
+        )
+        tensor = block.reshape((rows,) + (2,) * w)  # labels (w, w-1, ..., 0)
+        for row in range(w + 1):
+            qubit_order = [int(q) for q in rng.permutation(w)]
+            lay = tuple(qubit_order[:row] + [w] + qubit_order[row:])
+            step = tuple(lay.index(q) for q in qubits[::-1])
+            program = layout_program([op], (lay, (step,), lay), w)
+            assert program[0][1].nbytes <= 128 * 1024
+            laid = tensor.transpose([w - a for a in lay]).copy()  # C order
+            got = apply_layout_steps(laid, program)
+            canonical = got.transpose(np.argsort([w - a for a in lay]))
+            assert np.array_equal(
+                canonical.reshape(rows, 1 << w), expected
+            ), (w, rows, row)

@@ -18,6 +18,7 @@ from repro.partition import get_partitioner
 from repro.sv import (
     ArrayBackend,
     DEFAULT_STRIDED_MAX,
+    ExecutionTrace,
     HierarchicalExecutor,
     SerialBackend,
     ThreadedBackend,
@@ -30,6 +31,7 @@ from repro.sv import (
     strided_max_qubits,
     zero_state,
 )
+from repro.sv.fusion import compile_partition
 
 from conftest import random_circuit
 
@@ -202,6 +204,40 @@ class TestStridedVsGatherBackends:
         with ArrayBackend() as strided_b:
             strided = _run(qc, p, strided_b)
         assert np.array_equal(gather, strided)
+
+    def test_phase_ladders_run_diagonal_on_both_lanes(self):
+        # cx·u1·cx sandwiches fuse (width 2) into structurally diagonal
+        # ops: the strided lane multiplies their non-identity slices,
+        # the gather lane their factor tables, with the same bits.
+        rng = np.random.default_rng(5)
+        qc = random_circuit(7, 6, seed=5)
+        for _ in range(12):
+            a, b = (int(q) for q in rng.choice(7, 2, replace=False))
+            qc.cx(a, b).u1(float(rng.uniform(-3, 3)), b).cx(a, b)
+        p = get_partitioner("dagP").partition(qc, 5)
+        reference = zero_state(7)
+        for g in qc:
+            apply_gate_reference(reference, g, 7)
+        states, traces = [], []
+        for strided_max in (-1, 2):
+            trace = ExecutionTrace()
+            state = zero_state(7)
+            HierarchicalExecutor(
+                backend=SerialBackend(strided_max=strided_max),
+                max_fused_qubits=2,
+            ).run(qc, p, state, trace=trace)
+            states.append(state)
+            traces.append(trace)
+        assert traces[0].strided_parts == 0 < traces[1].strided_parts
+        assert np.array_equal(states[0], states[1])
+        assert float(np.max(np.abs(states[0] - reference))) < 1e-10
+        plans = compile_partition(qc, p, max_fused_qubits=2)
+        assert any(
+            op.is_diagonal
+            and not all(qc[i].is_diagonal for i in op.source_indices)
+            for plan in plans
+            for op in plan.ops
+        )
 
     def test_top_qubit_targets_span_row_blocks(self):
         # Every gate touches the top qubit: the threaded strided view
