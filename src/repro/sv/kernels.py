@@ -80,7 +80,8 @@ def _diag_factor(diag: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray
     """Copy-free diagonal path: ``diag`` shaped to broadcast-multiply an
     ``ndim``-axis view whose gate axes (msb operand first) are ``axes``."""
     fac = diag.reshape((2,) * len(axes))
-    fac = fac.transpose(tuple(np.argsort(axes)))  # sorted by view axis
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    fac = fac.transpose(order)  # sorted by view axis
     shape = [1] * ndim
     for ax in axes:
         shape[ax] = 2
@@ -205,18 +206,14 @@ def _diag_table(diag: np.ndarray, axes: Sequence[int], row: int, ndim: int):
     row axis ``row`` of an ``ndim``-axis block, so multiplying a block by
     it runs contiguous inner loops however scattered the targets are.
     Each product is the same ``block * factor`` as the broadcast one.
-    With no target among those axes the factor itself already broadcasts
-    over a contiguous run and is returned as is.
 
     >>> _diag_table(np.array([1, -1]), (3,), 1, 4).shape  # (2, B, 2, 2) block
     (1, 1, 2, 2)
     >>> _diag_table(np.array([1, -1]), (0,), 1, 4).shape  # target leads
-    (2, 1, 1, 1)
+    (2, 1, 2, 2)
     """
     fac = _diag_factor(diag, axes, ndim)
     span = min(_DIAG_SPAN_AXES, ndim - 1 - row)
-    if all(a < ndim - span for a in axes):
-        return fac  # broadcast trailing axes already run contiguously
     while span + sum(a < ndim - span for a in axes) > _DIAG_TABLE_AXES:
         span -= 1
     shape = fac.shape[: ndim - span] + (2,) * span

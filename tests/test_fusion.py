@@ -15,6 +15,7 @@ from repro.sv.fusion import (
     FusionGroup,
     PartPlanStructure,
     PlanCache,
+    _affine_action,
     build_part_structure,
     compile_part,
     compile_partition,
@@ -220,6 +221,31 @@ class TestStructuralDiagonal:
         )
         with pytest.raises(ValueError, match="marked diagonal"):
             single.bind(QuantumCircuit(1).h(0).gates)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_non_finite_parameter_in_a_ladder_binds(self, theta):
+        # The GEMM steps spread nan off the diagonal; the flag stays and
+        # the bind guard does not blame it.
+        qc = QuantumCircuit(2).cx(0, 1).u1(theta, 1).cx(0, 1)
+        (op,) = compile_part(qc, range(3), range(2)).ops
+        assert op.is_diagonal
+        assert not np.isfinite(op.matrix()).all()
+
+    @pytest.mark.parametrize("name", sorted(GATE_DEFS))
+    def test_affine_action_matches_the_matrix(self, name):
+        action = _affine_action(name)
+        if not action:  # not a permutation, or diagonal (nothing moves)
+            return
+        matrix = GATE_DEFS[name].factory()
+        for j in range(len(matrix)):
+            image = 0
+            for i, (const, sources) in enumerate(action):
+                bit = const
+                for b in sources:
+                    bit ^= j >> b & 1
+                image |= bit << i
+            assert np.count_nonzero(matrix[:, j]) == 1
+            assert matrix[image, j] != 0, (name, j, image)
 
 
 def _dense_product(gates, n):
